@@ -111,13 +111,14 @@ BENCHMARK(BM_FeatureExtraction);
 void BM_NGramSampleChar(benchmark::State &State) {
   model::NGramModel Model;
   Model.train({sampleSource()});
-  Model.reset();
-  Model.observeText("__kernel void A(");
+  std::unique_ptr<model::TokenSampler> Sampler = Model.sampler();
+  Sampler->reset();
+  for (char C : std::string("__kernel void A("))
+    Sampler->observe(Model.vocabulary().idOf(C));
   Rng R(1);
   for (auto _ : State) {
-    auto Dist = Model.nextDistribution();
-    size_t Tok = R.weighted(Dist);
-    Model.observe(static_cast<int>(Tok));
+    int Tok = Sampler->draw(0.85, R);
+    Sampler->observe(Tok);
     benchmark::DoNotOptimize(Tok);
   }
 }
@@ -174,12 +175,15 @@ void BM_SampleKernel(benchmark::State &State) {
   std::string Seed = core::ArgSpec::figure6().seedText();
   core::SampleOptions SOpts;
   SOpts.Temperature = 0.5;
+  // One persistent sampler, as each SynthesisEngine worker keeps.
+  std::unique_ptr<model::TokenSampler> Sampler =
+      Pipeline.languageModel().sampler();
   Rng Base(0x5A117);
   uint64_t Attempt = 0;
   size_t Chars = 0;
   for (auto _ : State) {
     Rng R = Base.split(Attempt++);
-    auto S = core::sampleKernel(Pipeline.languageModel(), Seed, SOpts, R);
+    auto S = core::sampleKernel(*Sampler, Seed, SOpts, R);
     Chars += S ? S->size() : SOpts.MaxLength;
     benchmark::DoNotOptimize(S.has_value());
   }

@@ -7,10 +7,11 @@
 // Parallel batched synthesis. Candidate generation (model sampling +
 // rejection filter + normalisation) is a pure function of the candidate's
 // attempt index: attempt i samples from the counter-keyed RNG stream
-// split(i) on a per-worker model clone, so any number of workers computes
-// the same candidate set. The accept stage then walks candidates in
-// attempt order, which pins deduplication and the stop point; output is
-// bit-identical across worker counts, including the serial path.
+// split(i) through a per-worker model::TokenSampler, so any number of
+// workers computes the same candidate set. The accept stage then walks
+// candidates in attempt order, which pins deduplication and the stop
+// point; output is bit-identical across worker counts, including the
+// serial path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,13 +40,14 @@ struct Candidate {
 
 /// The per-attempt pipeline stage: sample -> filter -> normalise. Pure
 /// given (model parameters, seed text, options, RNG stream); runs
-/// concurrently on per-worker model clones.
-Candidate produceCandidate(model::LanguageModel &Model,
+/// concurrently on per-worker samplers.
+Candidate produceCandidate(model::TokenSampler &Sampler,
                            const std::string &Seed,
                            const SampleOptions &Sampling,
                            const corpus::FilterOptions &FilterOpts, Rng R) {
   Candidate C;
-  std::optional<std::string> Sample = sampleKernel(Model, Seed, Sampling, R);
+  std::optional<std::string> Sample =
+      sampleKernel(Sampler, Seed, Sampling, R);
   if (!Sample)
     return C;
   corpus::FilterResult FR = corpus::filterContentFile(*Sample, FilterOpts);
@@ -70,7 +72,6 @@ Candidate produceCandidate(model::LanguageModel &Model,
 //===----------------------------------------------------------------------===//
 
 struct SynthesisEngine::Impl {
-  model::LanguageModel &Model;
   SynthesisOptions Opts;
   Rng Base;
   std::string Seed;
@@ -88,10 +89,13 @@ struct SynthesisEngine::Impl {
   size_t NextAttempt = 0;
 
   size_t Workers;
-  std::vector<std::unique_ptr<model::LanguageModel>> Clones;
+  /// One sampler per worker, kept for the engine's lifetime: generation
+  /// state never lives in the shared model, and memoized draws carry
+  /// over between waves and extendTo() calls.
+  std::vector<std::unique_ptr<model::TokenSampler>> Samplers;
 
-  Impl(model::LanguageModel &M, const SynthesisOptions &O)
-      : Model(M), Opts(O), Base(O.Seed),
+  Impl(model::LanguageModel &Model, const SynthesisOptions &O)
+      : Opts(O), Base(O.Seed),
         Seed(O.Spec ? O.Spec->seedText() : freeModeSeed()),
         MaxAttempts(O.MaxAttempts > 0 ? O.MaxAttempts
                                       : O.TargetKernels * 100),
@@ -99,17 +103,16 @@ struct SynthesisEngine::Impl {
     // Samples are drawn from the normalised corpus distribution; the
     // shim is unnecessary (and injecting it would not hurt, only slow).
     FilterOpts.UseShim = false;
-    // Per-worker model clones keep stateful generation thread-private.
-    if (Workers > 1) {
-      for (size_t W = 0; W < Workers; ++W) {
-        std::unique_ptr<model::LanguageModel> C = Model.clone();
-        if (!C) {
-          Clones.clear();
-          Workers = 1; // Model not cloneable: fall back to serial.
-          break;
-        }
-        Clones.push_back(std::move(C));
+    for (size_t W = 0; W < Workers; ++W) {
+      std::unique_ptr<model::TokenSampler> S = Model.sampler();
+      if (!S) {
+        // No private samplers: sample serially on the model itself.
+        Samplers.clear();
+        Samplers.push_back(std::make_unique<model::DenseSampler>(Model));
+        Workers = 1;
+        break;
       }
+      Samplers.push_back(std::move(S));
     }
   }
 
@@ -155,8 +158,8 @@ struct SynthesisEngine::Impl {
         Candidate C;
         {
           CLGS_TRACE_SPAN_IDX("sample", NextAttempt);
-          C = produceCandidate(Model, Seed, Opts.Sampling, FilterOpts,
-                               Base.split(NextAttempt));
+          C = produceCandidate(*Samplers[0], Seed, Opts.Sampling,
+                               FilterOpts, Base.split(NextAttempt));
         }
         ++NextAttempt;
         if (!consume(C, CumTarget, Sink))
@@ -177,7 +180,7 @@ struct SynthesisEngine::Impl {
       Wave.resize(Count);
       Pool.parallelFor(0, Count, [&](size_t Worker, size_t I) {
         CLGS_TRACE_SPAN_IDX("sample", NextAttempt + I);
-        Wave[I] = produceCandidate(*Clones[Worker], Seed, Opts.Sampling,
+        Wave[I] = produceCandidate(*Samplers[Worker], Seed, Opts.Sampling,
                                    FilterOpts, Base.split(NextAttempt + I));
       });
       // Candidates past the stop point are speculative surplus: dropped

@@ -42,8 +42,9 @@ struct SynthesisOptions {
   /// for every worker count: each candidate attempt draws from its own
   /// counter-keyed RNG stream (Rng::split of the attempt index) and the
   /// accept/dedupe stage consumes candidates in attempt order, so
-  /// scheduling can never reorder outputs. Requires the model to support
-  /// clone(); models that do not are sampled serially.
+  /// scheduling can never reorder outputs. Each worker draws through its
+  /// own LanguageModel::sampler(), so the shared model is never written;
+  /// a model that returns no sampler is sampled serially.
   unsigned Workers = 1;
   /// Candidate attempts dispatched per parallel wave (0 = auto). Larger
   /// waves amortise fan-out overhead but speculate further past the

@@ -23,26 +23,13 @@
 
 #include "model/LanguageModel.h"
 
+#include <cstdint>
 #include <string>
-#include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace clgen {
 namespace model {
-
-/// Transparent string hashing so context lookups run on string_views of
-/// the rolling context buffer — the sampling hot loop performs zero
-/// allocations per character.
-struct StringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view S) const {
-    return std::hash<std::string_view>{}(S);
-  }
-  size_t operator()(const std::string &S) const {
-    return std::hash<std::string_view>{}(S);
-  }
-};
 
 struct NGramOptions {
   /// Model order: context length = Order - 1 characters.
@@ -55,17 +42,12 @@ struct NGramOptions {
 
 class NGramModel : public LanguageModel {
 public:
-  /// Context string -> (next-token id -> count). The empty context holds
-  /// unigram counts. Transparent hashing allows string_view lookups.
-  using ContextCounts =
-      std::unordered_map<std::string, std::unordered_map<int, uint32_t>,
-                         StringHash, std::equal_to<>>;
-
   explicit NGramModel(NGramOptions Opts = NGramOptions()) : Opts(Opts) {}
 
   /// Trains on corpus entries (each a normalised kernel). Entries are
   /// separated by the end-of-text sentinel so the model learns kernel
-  /// boundaries.
+  /// boundaries. Counts are gathered straight into the flat table, so
+  /// training never holds a second copy of them.
   void train(const std::vector<std::string> &Entries);
 
   // LanguageModel:
@@ -75,10 +57,15 @@ public:
   std::vector<double> nextDistribution() override;
   void nextDistributionInto(std::vector<double> &Dist) override;
   std::unique_ptr<LanguageModel> clone() const override;
+  /// A memoizing sampler: each draw is one context lookup, one
+  /// R.uniform() and a binary search over a memoized cumulative table,
+  /// and picks the same token as the dense nextDistributionInto +
+  /// drawToken path from the same state.
+  std::unique_ptr<TokenSampler> sampler() const override;
   const char *backendName() const override { return "ngram"; }
 
   /// Number of distinct contexts stored (all orders).
-  size_t contextCount() const { return Counts ? Counts->size() : 0; }
+  size_t contextCount() const;
 
   /// Appends options, vocabulary and the full count table to an archive
   /// payload. Contexts and their count entries are emitted in sorted
@@ -92,15 +79,30 @@ public:
   static NGramModel deserialize(store::ArchiveReader &R);
 
 private:
+  class CountTable;
+  class CountBuilder;
+  class MemoSampler;
+
   NGramOptions Opts;
   Vocabulary Vocab;
-  /// Immutable once trained and shared between clones, so per-worker
-  /// model copies cost O(1) instead of duplicating the count table.
-  std::shared_ptr<const ContextCounts> Counts;
+  /// Context -> interned (id, count) row. Immutable once trained and
+  /// shared between clones and samplers, so a model copy costs O(1) and
+  /// sampling never writes it.
+  std::shared_ptr<const CountTable> Counts;
   /// Rolling context of the last Order-1 token ids (as chars).
   std::string Context;
+  /// Suffix-hash scratch for context lookups.
+  std::vector<uint64_t> Hashes;
 
-  void addSequence(ContextCounts &Building, const std::string &Entry) const;
+  void pushContext(std::string &Ctx, int TokenId) const;
+  /// The backoff match for context \p Ctx: (row, levels skipped), or
+  /// (no row, 0) when no suffix has counts.
+  std::pair<uint32_t, size_t> match(const std::string &Ctx,
+                                    std::vector<uint64_t> &Scratch) const;
+  /// The dense next distribution for a matched row after \p Skip
+  /// backoff levels (or for no match at all).
+  void fillDistribution(uint32_t Row, size_t Skip,
+                        std::vector<double> &Dist) const;
 };
 
 } // namespace model

@@ -128,20 +128,20 @@ TEST(SamplerTest, MalformedSeedIsRejected) {
 TEST(DrawTokenTest, EmptyDistributionYieldsEndOfText) {
   Rng R(1);
   std::vector<double> Empty;
-  EXPECT_EQ(drawToken(Empty, 0.85, R), model::Vocabulary::EndOfText);
+  EXPECT_EQ(model::drawToken(Empty, 0.85, R), model::Vocabulary::EndOfText);
 }
 
 TEST(DrawTokenTest, AllZeroDistributionYieldsEndOfText) {
   Rng R(1);
   std::vector<double> Zeros(16, 0.0);
-  EXPECT_EQ(drawToken(Zeros, 0.85, R), model::Vocabulary::EndOfText);
+  EXPECT_EQ(model::drawToken(Zeros, 0.85, R), model::Vocabulary::EndOfText);
 }
 
 TEST(DrawTokenTest, ZeroProbabilityTokensAreNeverDrawn) {
   Rng R(9);
   std::vector<double> Dist = {0.0, 0.5, 0.0, 0.5, 0.0};
   for (int I = 0; I < 500; ++I) {
-    int T = drawToken(Dist, 0.7, R);
+    int T = model::drawToken(Dist, 0.7, R);
     EXPECT_TRUE(T == 1 || T == 3) << "drew zero-probability token " << T;
   }
 }
@@ -152,8 +152,8 @@ TEST(DrawTokenTest, TemperatureSharpensDistribution) {
   int HotMajority = 0, ColdMajority = 0;
   const int N = 4000;
   for (int I = 0; I < N; ++I) {
-    HotMajority += drawToken(Dist, 1.0, R) == 1;
-    ColdMajority += drawToken(Dist, 0.25, R) == 1;
+    HotMajority += model::drawToken(Dist, 1.0, R) == 1;
+    ColdMajority += model::drawToken(Dist, 0.25, R) == 1;
   }
   // At T=1 the majority token wins ~75%; at T=0.25 the p-ratio is cubed
   // to 81:1 so it should win nearly always.
@@ -165,7 +165,7 @@ TEST(DrawTokenTest, DeterministicForEqualRngState) {
   std::vector<double> Dist = {0.1, 0.2, 0.3, 0.4};
   Rng A(77), B(77);
   for (int I = 0; I < 100; ++I)
-    EXPECT_EQ(drawToken(Dist, 0.6, A), drawToken(Dist, 0.6, B));
+    EXPECT_EQ(model::drawToken(Dist, 0.6, A), model::drawToken(Dist, 0.6, B));
 }
 
 //===----------------------------------------------------------------------===//

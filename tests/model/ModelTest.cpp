@@ -1,12 +1,18 @@
 //===- tests/model/ModelTest.cpp - vocabulary / n-gram / LSTM tests -----------===//
 
+#include "clgen/Sampler.h"
+#include "corpus/Corpus.h"
+#include "githubsim/GithubSim.h"
 #include "model/LstmModel.h"
 #include "model/NGramModel.h"
 #include "model/Vocabulary.h"
+#include "store/Archive.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 using namespace clgen;
 using namespace clgen::model;
@@ -134,6 +140,203 @@ TEST(NGramModelTest, BitsPerCharLowerForInDistributionText) {
       M.bitsPerChar("__kernel void A(__global float* a) {\n");
   double OffDist = M.bitsPerChar("qqqq zzzz wwww!!!");
   EXPECT_LT(InDist, OffDist);
+}
+
+//===----------------------------------------------------------------------===//
+// Memoized n-gram sampling vs the dense reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The normalised kernels a small pipeline trains on.
+const std::vector<std::string> &kernelCorpus() {
+  static const std::vector<std::string> Entries = [] {
+    githubsim::GithubSimOptions G;
+    G.FileCount = 60;
+    return corpus::buildCorpus(githubsim::mineGithub(G),
+                               corpus::CorpusOptions())
+        .Entries;
+  }();
+  return Entries;
+}
+
+NGramModel storeRoundTrip(const NGramModel &M) {
+  store::ArchiveWriter W(store::ArchiveKind::Model);
+  M.serialize(W);
+  auto R = store::ArchiveReader::fromBytes(W.finalize(),
+                                           store::ArchiveKind::Model);
+  EXPECT_TRUE(R.ok()) << R.errorMessage();
+  NGramModel Loaded = NGramModel::deserialize(R.get());
+  EXPECT_TRUE(R.get().ok()) << R.get().errorMessage();
+  return Loaded;
+}
+
+/// Forwards to another sampler, counting draws.
+class CountingSampler : public TokenSampler {
+public:
+  explicit CountingSampler(TokenSampler &Inner) : Inner(Inner) {}
+  const Vocabulary &vocabulary() const override { return Inner.vocabulary(); }
+  void reset() override { Inner.reset(); }
+  void observe(int TokenId) override { Inner.observe(TokenId); }
+  int draw(double Temperature, Rng &R) override {
+    ++Draws;
+    return Inner.draw(Temperature, R);
+  }
+  size_t Draws = 0;
+
+private:
+  TokenSampler &Inner;
+};
+
+/// Samples \p Attempts kernels through one persistent memo sampler and
+/// through the dense reference (sampleKernel on the model itself), from
+/// the same RNG streams: the bytes and the RNG advance must agree, and
+/// the memo sampler must draw exactly one uniform per emitted token.
+void expectMemoMatchesDense(NGramModel &M, const std::string &Seed,
+                            double Temperature, int Attempts) {
+  std::unique_ptr<TokenSampler> Memo = M.sampler();
+  ASSERT_NE(Memo, nullptr);
+  CountingSampler Counted(*Memo);
+  core::SampleOptions Opts;
+  Opts.Temperature = Temperature;
+  Rng Base(0x5A117);
+  for (int I = 0; I < Attempts; ++I) {
+    Rng Dense = Base.split(I), Memoized = Base.split(I), Ref = Base.split(I);
+    Counted.Draws = 0;
+    auto Expected = core::sampleKernel(M, Seed, Opts, Dense);
+    auto Got = core::sampleKernel(Counted, Seed, Opts, Memoized);
+    ASSERT_EQ(Expected, Got) << "attempt " << I;
+    ASSERT_GT(Counted.Draws, 0u);
+    for (size_t D = 0; D < Counted.Draws; ++D)
+      Ref.uniform();
+    uint64_t RefNext = Ref.next();
+    ASSERT_EQ(Memoized.next(), RefNext)
+        << "attempt " << I << ": not one uniform per draw";
+    ASSERT_EQ(Dense.next(), RefNext) << "attempt " << I;
+  }
+}
+
+} // namespace
+
+TEST(NGramSamplerTest, MemoizedDrawsMatchDenseReference) {
+  const std::string Seeds[] = {core::freeModeSeed(),
+                               core::ArgSpec::figure6().seedText()};
+  for (int Order : {3, 14, 16}) {
+    for (double Smoothing : {0.1, 0.0}) {
+      NGramOptions Opts;
+      Opts.Order = Order;
+      Opts.UnigramSmoothing = Smoothing;
+      NGramModel Trained(Opts);
+      Trained.train(kernelCorpus());
+      NGramModel Loaded = storeRoundTrip(Trained);
+      for (NGramModel *M : {&Trained, &Loaded})
+        for (double T : {0.1, 0.5, 0.85, 2.0})
+          for (const std::string &Seed : Seeds) {
+            SCOPED_TRACE(testing::Message()
+                         << "order " << Order << " smoothing " << Smoothing
+                         << (M == &Loaded ? " round-tripped" : " trained")
+                         << " T " << T << " seed \"" << Seed << "\"");
+            expectMemoMatchesDense(*M, Seed, T, 12);
+          }
+    }
+  }
+}
+
+TEST(NGramSamplerTest, SamplingNeverWritesTheModel) {
+  NGramModel M;
+  M.train(kernelCorpus());
+  M.reset();
+  M.observeText("__kernel void A(");
+  std::vector<double> Before = M.nextDistribution();
+  std::unique_ptr<TokenSampler> A = M.sampler(), B = M.sampler();
+  core::SampleOptions Opts;
+  Rng RA(1), RB(2);
+  core::sampleKernel(*A, core::freeModeSeed(), Opts, RA);
+  core::sampleKernel(*B, "}", Opts, RB);
+  EXPECT_EQ(M.nextDistribution(), Before);
+}
+
+TEST(NGramSamplerTest, TemperatureChangeRebuildsTheMemo) {
+  NGramModel M;
+  M.train(kernelCorpus());
+  std::unique_ptr<TokenSampler> Memo = M.sampler();
+  std::string Seed = core::ArgSpec::figure6().seedText();
+  for (double T : {0.5, 2.0, 0.5}) {
+    core::SampleOptions Opts;
+    Opts.Temperature = T;
+    for (uint64_t I = 0; I < 4; ++I) {
+      Rng Dense(I), Memoized(I);
+      EXPECT_EQ(core::sampleKernel(M, Seed, Opts, Dense),
+                core::sampleKernel(*Memo, Seed, Opts, Memoized))
+          << "T " << T << " attempt " << I;
+    }
+  }
+}
+
+TEST(CumulativeTableTest, MatchesDrawTokenOnEdgeDistributions) {
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> Dists = {
+      {},
+      {0.0, 0.0},
+      {0.25, 0.0, 0.75},
+      {0.0, 0.5, 0.0, 0.5, 0.0}, // Trailing zero: last-nonzero fallback.
+      {0.5, NaN, 0.0, 0.5},      // Pass two turns NaN: last entry wins.
+      {0.5, NaN, 0.5, NaN},      // ...even when it is NaN itself.
+      {NaN, NaN},
+      {0.3, -0.2, 0.7},
+      {1.0, Inf},
+      {1e-300, 1e-300, 1.0},
+      {0.1, 0.2, 0.3, 0.4},
+  };
+  for (size_t D = 0; D < Dists.size(); ++D)
+    for (double T : {-1.0, 0.1, 0.5, 1.0, 2.0}) {
+      PageVector<double> Sums;
+      PageVector<uint8_t> Ids;
+      Sums.push_back(42.0); // Tables share arenas: offsets must hold.
+      Ids.push_back(7);
+      CumulativeTable Table =
+          appendCumulativeTable(Dists[D], T, Sums, Ids);
+      for (uint64_t Seed = 0; Seed < 64; ++Seed) {
+        Rng A(Seed), B(Seed);
+        ASSERT_EQ(drawToken(Dists[D], T, A),
+                  drawFromTable(Table, Sums.data(), Ids.data(), B))
+            << "dist " << D << " T " << T << " seed " << Seed;
+        ASSERT_EQ(A.next(), B.next());
+      }
+    }
+}
+
+TEST(CumulativeTableTest, TargetEqualToARunningSumIsNotACrossing) {
+  // drawToken returns the first entry with Target < Running, so a
+  // running sum equal to the target is passed over.
+  Rng Peek(3);
+  double U = Peek.uniform();
+  CumulativeTable Table;
+  Table.Sum = 1.0;
+  Table.Last = 9;
+  Table.Size = 3;
+  const std::vector<double> Sums = {U, U, 1.0};
+  const std::vector<uint8_t> Ids = {4, 5, 6};
+  Rng R(3);
+  EXPECT_EQ(drawFromTable(Table, Sums.data(), Ids.data(), R), 6);
+}
+
+TEST(LanguageModelTest, DefaultSamplerDrawsOnAPrivateClone) {
+  LstmOptions Opts;
+  Opts.Epochs = 1;
+  Opts.HiddenSize = 12;
+  LstmModel M(Opts);
+  M.train({"__kernel void A(__global float* a) { a[0] = 1.0f; }"});
+  std::unique_ptr<TokenSampler> S = M.sampler();
+  ASSERT_NE(S, nullptr);
+  core::SampleOptions SOpts;
+  SOpts.MaxLength = 96;
+  for (uint64_t I = 0; I < 4; ++I) {
+    Rng Dense(I), Private(I);
+    EXPECT_EQ(core::sampleKernel(M, "__kernel void A(", SOpts, Dense),
+              core::sampleKernel(*S, "__kernel void A(", SOpts, Private));
+  }
 }
 
 //===----------------------------------------------------------------------===//

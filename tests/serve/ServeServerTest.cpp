@@ -495,12 +495,12 @@ TEST(ServeServerTest, RenderStatsIsKeyValueLines) {
 
 TEST(ServeCoalescerTest, FollowersShareTheLeadersResult) {
   // The coalescer in isolation, with a compute we can hold open: the
-  // leader blocks until every follower is queued, so followers MUST
-  // take the in-flight path — this is the deterministic exactly-once
-  // unit proof (the server-level tests prove it end to end).
+  // leader blocks until the coalescer itself has registered every
+  // follower, so followers MUST take the in-flight path — this is the
+  // deterministic exactly-once unit proof (the server-level tests prove
+  // it end to end).
   Coalescer<int> Flights;
   std::atomic<int> Computes{0};
-  std::atomic<int> Waiting{0};
   constexpr int Followers = 3;
 
   std::vector<std::thread> Threads;
@@ -508,17 +508,16 @@ TEST(ServeCoalescerTest, FollowersShareTheLeadersResult) {
   std::vector<char> WasLeader(Followers + 1, 0);
   for (int I = 0; I < Followers + 1; ++I)
     Threads.emplace_back([&, I] {
-      Waiting.fetch_add(1);
       bool Leader = false;
       auto R = Flights.run(
           /*Key=*/42,
           [&]() -> Result<int> {
             Computes.fetch_add(1);
-            // Hold the flight open until every thread has arrived, so
-            // all the others are provably concurrent followers.
-            for (int Spin = 0;
-                 Spin < 5000 && Waiting.load() < Followers + 1; ++Spin)
-              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            // Followers are counted under the coalescer's lock as they
+            // join this flight, so once the count is complete every
+            // other thread is provably waiting on this result.
+            while (Flights.followers() < static_cast<uint64_t>(Followers))
+              std::this_thread::yield();
             return 1234;
           },
           &Leader);

@@ -13,7 +13,12 @@
 //    it was computed cold, coalesced, or warm-loaded — even when the
 //    sweeper evicted the artifact between requests;
 //  - eviction degrades to recomputation, never to failure;
-//  - drain with the sweeper mid-flight shuts down cleanly.
+//  - drain with the sweeper mid-flight shuts down cleanly;
+//  - concurrent flights with DISTINCT seeds, sampling one shared model
+//    at once, return exactly the bytes each seed gets when served
+//    alone from a separate store (a corrupted cold result would be
+//    persisted and then served warm consistently, so comparing
+//    same-seed responses with each other cannot catch it).
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <latch>
 #include <map>
 #include <string>
 #include <thread>
@@ -122,6 +128,98 @@ TEST(ServeSoakTest, SweeperVersusRequestsStaysDeterministic) {
   S.requestDrain();
   S.wait();
   EXPECT_FALSE(fs::exists(Dir.file("serve.sock")));
+}
+
+namespace {
+
+ServerConfig soakConfig(const ScratchDir &Dir) {
+  ServerConfig Cfg;
+  Cfg.SocketPath = Dir.file("serve.sock");
+  Cfg.StoreDir = Dir.file("store");
+  Cfg.FileCount = 60;
+  Cfg.MeasureWorkers = 1;
+  return Cfg;
+}
+
+SynthesizeRequest distinctRequest(uint64_t Seed) {
+  SynthesizeRequest Req;
+  Req.TargetKernels = 3;
+  Req.Seed = Seed;
+  return Req;
+}
+
+/// Everything a response says about its kernels: sources and verdicts.
+std::string responseBytes(const SynthesizeResponse &R) {
+  std::string Bytes = std::to_string(R.KernelSetDigest);
+  for (size_t I = 0; I < R.Sources.size(); ++I) {
+    Bytes += "\n" + R.Sources[I];
+    if (I < R.Measurements.size()) {
+      const MeasurementRow &M = R.Measurements[I];
+      Bytes += M.Ok ? "\nok " + std::to_string(M.CpuTime) + " " +
+                          std::to_string(M.GpuTime)
+                    : "\nfail " + M.Error;
+    }
+  }
+  return Bytes;
+}
+
+} // namespace
+
+TEST(ServeSoakTest, ConcurrentDistinctSeedsMatchSerialDigests) {
+  constexpr uint64_t Seeds[] = {11, 12, 13, 14};
+  constexpr size_t Flights = sizeof(Seeds) / sizeof(Seeds[0]);
+
+  // The reference: each seed served alone, in turn, from its own store.
+  std::vector<std::string> Serial(Flights);
+  {
+    ScratchDir Dir("distinct_serial");
+    Server S(soakConfig(Dir));
+    ASSERT_TRUE(S.start().ok());
+    for (size_t I = 0; I < Flights; ++I) {
+      auto R = S.synthesize(distinctRequest(Seeds[I]));
+      ASSERT_TRUE(R.ok()) << R.errorMessage();
+      EXPECT_FALSE(R.get().WarmKernels);
+      Serial[I] = responseBytes(R.get());
+    }
+    S.requestDrain();
+    S.wait();
+  }
+
+  // Four cold flights released together on one server and one model.
+  // A warm-up request trains the model first, so the flights overlap in
+  // sampling rather than queueing behind training.
+  ScratchDir Dir("distinct_concurrent");
+  Server S(soakConfig(Dir));
+  ASSERT_TRUE(S.start().ok());
+  ASSERT_TRUE(S.synthesize(distinctRequest(99)).ok());
+  std::vector<Result<SynthesizeResponse>> Concurrent(
+      Flights, Result<SynthesizeResponse>::error("not run"));
+  std::latch Start(Flights);
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I < Flights; ++I)
+    Threads.emplace_back([&, I] {
+      Start.arrive_and_wait();
+      Concurrent[I] = S.synthesize(distinctRequest(Seeds[I]));
+    });
+  for (auto &Th : Threads)
+    Th.join();
+  for (size_t I = 0; I < Flights; ++I) {
+    ASSERT_TRUE(Concurrent[I].ok()) << Concurrent[I].errorMessage();
+    EXPECT_FALSE(Concurrent[I].get().WarmKernels) << "seed " << Seeds[I];
+    EXPECT_EQ(responseBytes(Concurrent[I].get()), Serial[I])
+        << "seed " << Seeds[I] << " differs from its serial reference";
+  }
+
+  // The persisted cold results are what later requests get warm.
+  for (size_t I = 0; I < Flights; ++I) {
+    auto Warm = S.synthesize(distinctRequest(Seeds[I]));
+    ASSERT_TRUE(Warm.ok()) << Warm.errorMessage();
+    EXPECT_TRUE(Warm.get().WarmKernels);
+    EXPECT_EQ(responseBytes(Warm.get()), Serial[I]) << "seed " << Seeds[I];
+  }
+  EXPECT_EQ(S.stats().ColdComputes, Flights + 1);
+  S.requestDrain();
+  S.wait();
 }
 
 TEST(ServeSoakTest, RepeatedDrainCyclesAreClean) {
