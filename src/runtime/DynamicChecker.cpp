@@ -24,7 +24,8 @@ const char *runtime::checkOutcomeName(CheckOutcome O) {
 }
 
 CheckResult runtime::checkKernel(const CompiledKernel &Kernel,
-                                 const CheckOptions &Opts, Rng &R) {
+                                 const CheckOptions &Opts, Rng &R,
+                                 const LaunchConfig &Launch) {
   CheckResult Result;
 
   PayloadOptions POpts;
@@ -40,10 +41,11 @@ CheckResult runtime::checkKernel(const CompiledKernel &Kernel,
   Payload A1Before = A1.clone();
   Payload B1Before = B1.clone();
 
-  LaunchConfig Config;
+  LaunchConfig Config = Launch;
   Config.GlobalSize[0] = A1.GlobalSize;
   Config.LocalSize[0] = A1.LocalSize;
   Config.MaxInstructions = Opts.MaxInstructions;
+  Config.MaxWorkGroups = SIZE_MAX;
 
   auto Execute = [&](Payload &P) -> bool {
     auto Run = launchKernel(Kernel, P.Args, P.Buffers, Config);

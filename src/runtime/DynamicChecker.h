@@ -29,6 +29,7 @@
 #include "support/Rng.h"
 #include "support/Trap.h"
 #include "vm/Bytecode.h"
+#include "vm/Interpreter.h"
 
 #include <string>
 
@@ -71,9 +72,14 @@ struct CheckOptions {
   double Epsilon = 1e-6;
 };
 
-/// Runs the four-execution dynamic check on \p Kernel.
+/// Runs the four-execution dynamic check on \p Kernel. Every launch
+/// runs under \p Launch (the caller's watchdog, div-by-zero, dispatch
+/// and profile settings; see runtime::driverLaunchConfig) with the
+/// payload geometry and Opts.MaxInstructions in place of its own; all
+/// work-groups run, as a correctness check needs complete outputs.
 CheckResult checkKernel(const vm::CompiledKernel &Kernel,
-                        const CheckOptions &Opts, Rng &R);
+                        const CheckOptions &Opts, Rng &R,
+                        const vm::LaunchConfig &Launch = vm::LaunchConfig());
 
 } // namespace runtime
 } // namespace clgen

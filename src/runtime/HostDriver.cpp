@@ -32,15 +32,30 @@ DriverOptions runtime::batchDriverOptions(const DriverOptions &Opts,
   return KOpts;
 }
 
-Result<Measurement> runtime::runBenchmark(const CompiledKernel &Kernel,
-                                          const Platform &P,
-                                          const DriverOptions &Opts) {
+LaunchConfig runtime::driverLaunchConfig(const DriverOptions &Opts,
+                                         OpcodeProfile *Profile) {
+  LaunchConfig Config;
+  Config.WatchdogMs = Opts.WatchdogMs;
+  Config.TrapDivZero = Opts.TrapDivZero;
+  Config.Dispatch = Opts.Dispatch;
+  Config.Profile = Profile;
+  return Config;
+}
+
+namespace {
+
+/// The dynamic check (when enabled) and the timed launch, every launch
+/// under \p Launch.
+Result<Measurement> measureKernel(const CompiledKernel &Kernel,
+                                  const Platform &P,
+                                  const DriverOptions &Opts,
+                                  const LaunchConfig &Launch) {
   Rng R(Opts.Seed);
 
   if (Opts.RunDynamicCheck) {
     CheckOptions COpts;
     Rng CheckRng = R.fork();
-    CheckResult CR = checkKernel(Kernel, COpts, CheckRng);
+    CheckResult CR = checkKernel(Kernel, COpts, CheckRng, Launch);
     if (!CR.useful())
       return Result<Measurement>::error(
           std::string("dynamic check failed: ") +
@@ -60,26 +75,13 @@ Result<Measurement> runtime::runBenchmark(const CompiledKernel &Kernel,
   POpts.LocalSize = Opts.LocalSize;
   Payload Pl = generatePayload(Kernel, POpts, R);
 
-  LaunchConfig Config;
+  LaunchConfig Config = Launch;
   Config.GlobalSize[0] = Pl.GlobalSize;
   Config.LocalSize[0] = Pl.LocalSize;
   Config.MaxInstructions = Opts.MaxInstructions;
   Config.MaxWorkGroups = Opts.MaxSimulatedGroups;
-  Config.WatchdogMs = Opts.WatchdogMs;
-  Config.TrapDivZero = Opts.TrapDivZero;
-  Config.Dispatch = Opts.Dispatch;
-
-  // Profile into a launch-local buffer, then fold into the shared
-  // aggregate exactly once — even failed launches executed real
-  // instructions, and those counts are part of the corpus's dynamic
-  // opcode mix.
-  OpcodeProfile LocalProf;
-  if (Opts.Profile)
-    Config.Profile = &LocalProf;
 
   auto Run = launchKernel(Kernel, Pl.Args, Pl.Buffers, Config);
-  if (Opts.Profile)
-    Opts.Profile->add(LocalProf);
   if (!Run.ok())
     return Result<Measurement>::error("launch failed: " +
                                           Run.errorMessage(),
@@ -92,6 +94,23 @@ Result<Measurement> runtime::runBenchmark(const CompiledKernel &Kernel,
   M.LocalSize = Pl.LocalSize;
   M.CpuTime = estimateRuntime(P.Cpu, M.Counters, M.Transfer);
   M.GpuTime = estimateRuntime(P.Gpu, M.Counters, M.Transfer);
+  return M;
+}
+
+} // namespace
+
+Result<Measurement> runtime::runBenchmark(const CompiledKernel &Kernel,
+                                          const Platform &P,
+                                          const DriverOptions &Opts) {
+  // Profile into a run-local buffer, then fold into the shared aggregate
+  // exactly once — even failed launches executed real instructions, and
+  // those counts are part of the corpus's dynamic opcode mix.
+  OpcodeProfile LocalProf;
+  Result<Measurement> M = measureKernel(
+      Kernel, P, Opts,
+      driverLaunchConfig(Opts, Opts.Profile ? &LocalProf : nullptr));
+  if (Opts.Profile)
+    Opts.Profile->add(LocalProf);
   return M;
 }
 

@@ -96,6 +96,14 @@ struct DriverOptions {
   vm::DispatchMode Dispatch = vm::DispatchMode::Auto;
 };
 
+/// The VM launch settings a driver run applies to every launch it makes,
+/// the dynamic checker's four as well as the timed one: Opts.WatchdogMs,
+/// Opts.TrapDivZero and Opts.Dispatch, profiling into \p Profile (may be
+/// null). Geometry, instruction budget and work-group cap differ between
+/// those launches and are left for each to set.
+vm::LaunchConfig driverLaunchConfig(const DriverOptions &Opts,
+                                    vm::OpcodeProfile *Profile);
+
 /// Compiles and measures \p Source's first kernel on \p P's two devices.
 /// Fails when the kernel does not compile, the launch fails, or (when
 /// enabled) the dynamic checker rejects it.

@@ -73,11 +73,9 @@ double wrapToScalarKind(double X, Scalar S) {
   return X;
 }
 
-// Forced inline so every caller — including each fused-handler
-// expansion of CLGS_FUSED_BIN in InterpreterExecLoop.inc — gets its own
-// copy of the operation switch. A single shared switch concentrates
-// every binop's data-dependent indirect branch in one site; per-site
-// copies let the BTB learn each site's local operation mix.
+// Forced inline so each caller (the reference loop's BinOp case and
+// the threaded loop's execBinInstr) gets its own copy of the operation
+// switch, and the BTB learns each site's local operation mix.
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((always_inline))
 #endif
@@ -152,8 +150,8 @@ inline void writeLanes(Value &D, const double *Tmp, int W) {
   D.Width = static_cast<uint8_t>(W);
 }
 
-/// Cast semantics shared by the threaded Cast handler and the Cast+Mov
-/// superinstruction; verbatim the reference loop's Cast case.
+/// Cast semantics of the threaded Cast handler; verbatim the reference
+/// loop's Cast case.
 inline void castValue(Value *Regs, const Instr &I) {
   const Value &A = Regs[I.A];
   Value R;
@@ -206,7 +204,7 @@ struct ItemState {
   size_t Gid[3] = {0, 0, 0};
   size_t Lid[3] = {0, 0, 0};
   /// Previously executed opcode of THIS item (-1 = none yet), so the
-  /// opcode-pair profile never fuses across work-items even when the
+  /// opcode-pair profile never pairs across work-items even when the
   /// barrier path interleaves their execution.
   int16_t PrevOp = -1;
 };
@@ -219,8 +217,8 @@ struct ExecScratch {
   GroupContext Group;
   ItemState Single;
   std::vector<ItemState> States;
-  /// Dispatch-resolved execution form for Threaded/ThreadedFused
-  /// launches; storage recycled across launches.
+  /// Dispatch-resolved execution form for Threaded launches; storage
+  /// recycled across launches.
   ExecProgram Prog;
 };
 
@@ -259,13 +257,12 @@ private:
   TrapKind ErrKind = TrapKind::Unknown;
   std::chrono::steady_clock::time_point Start;
   /// Non-null when this launch runs the dispatch-resolved execution
-  /// form (Threaded/ThreadedFused) instead of the reference switch loop.
+  /// form (Threaded) instead of the reference switch loop.
   const ExecInstr *ExecCode = nullptr;
   /// Instruction count at which the wall-clock watchdog samples next;
-  /// UINT64_MAX when the watchdog is disabled. Deadline-based (>=)
-  /// rather than a mask test so dispatch strategies retiring more than
-  /// one instruction per step (superinstructions) can never stride over
-  /// a sample point.
+  /// UINT64_MAX when the watchdog is disabled. Deadline-based (>=) so
+  /// the threaded loop folds it and the instruction budget into one
+  /// compare per instruction.
   uint64_t WatchdogNext = UINT64_MAX;
 
   bool fail(const std::string &Message) {
@@ -512,10 +509,9 @@ private:
     return StepOutcome::Continue;
   }
 
-  /// Full BinOp semantics for the threaded loop: shared by the DivI and
-  /// RemI handlers (TrapDivZero check) and by every fused handler's
-  /// BinOp constituent. Mirrors the switch loop's BinOp case exactly,
-  /// including the ComputeOps increment preceding the trap.
+  /// Full BinOp semantics for the threaded loop's DivI and RemI
+  /// handlers (TrapDivZero check). Mirrors the switch loop's BinOp case
+  /// exactly, including the ComputeOps increment preceding the trap.
   bool execBinInstr(Value *Regs, const Instr &I) {
     ++C.ComputeOps;
     const Value &A = Regs[I.A];
@@ -1076,19 +1072,16 @@ public:
         BranchSiteOf[Pc] = BranchSiteCount++;
 
     // Resolve the dispatch strategy. Profiling launches always take the
-    // reference switch loop: the per-instruction hook lives only there,
-    // and opcode-pair profiles must see unfused sequences — a profile
-    // collected under fused dispatch would stop ranking exactly the
-    // pairs fusion consumes (a self-extinguishing profiler).
+    // reference switch loop: the per-instruction profile hook lives only
+    // there, which keeps the threaded loop free of it.
     DispatchMode Mode = Config.Dispatch;
     if (Config.Profile)
       Mode = DispatchMode::Switch;
     else if (Mode == DispatchMode::Auto)
-      Mode = threadedDispatchAvailable() ? DispatchMode::ThreadedFused
+      Mode = threadedDispatchAvailable() ? DispatchMode::Threaded
                                          : DispatchMode::Switch;
-    if (Mode != DispatchMode::Switch) {
-      prepareExecProgram(K, Mode == DispatchMode::ThreadedFused,
-                         Scratch.Prog);
+    if (Mode == DispatchMode::Threaded) {
+      prepareExecProgram(K, Scratch.Prog);
       ExecCode = Scratch.Prog.Code.data();
     }
 
@@ -1189,7 +1182,6 @@ const char *vm::dispatchModeName(DispatchMode Mode) {
   case DispatchMode::Auto: return "auto";
   case DispatchMode::Switch: return "switch";
   case DispatchMode::Threaded: return "threaded";
-  case DispatchMode::ThreadedFused: return "fused";
   }
   return "?";
 }
@@ -1201,8 +1193,6 @@ std::optional<DispatchMode> vm::parseDispatchMode(const std::string &Name) {
     return DispatchMode::Switch;
   if (Name == "threaded")
     return DispatchMode::Threaded;
-  if (Name == "fused" || Name == "threaded-fused")
-    return DispatchMode::ThreadedFused;
   return std::nullopt;
 }
 

@@ -41,29 +41,28 @@ struct OpcodeProfile;
 /// contract, enforced by DispatchParityTest), so the mode is a pure
 /// speed knob and is excluded from measurement cache keys.
 enum class DispatchMode : uint8_t {
-  /// Fastest available: ThreadedFused when computed goto is compiled
-  /// in, else the portable switch loop.
+  /// Fastest available: Threaded when computed goto is compiled in,
+  /// else the portable switch loop.
   Auto,
-  /// The reference switch-dispatch loop over raw bytecode. Profiling
-  /// launches (LaunchConfig::Profile != nullptr) always run here so
-  /// opcode-pair profiles see unfused sequences.
+  /// The reference switch-dispatch loop over raw bytecode, the oracle
+  /// the other path is tested against. Profiling launches
+  /// (LaunchConfig::Profile != nullptr) always run here: the opcode
+  /// profile hook lives only in this loop.
   Switch,
   /// Launch-time lowering to a dispatch-resolved execution form
   /// (vm/Compiler.h prepareExecProgram), executed with a computed-goto
   /// label-address table on GCC/Clang or a structurally identical
   /// switch loop elsewhere.
   Threaded,
-  /// Threaded plus the profile-guided superinstruction fusion pass.
-  ThreadedFused,
 };
 
-/// True when the build dispatches Threaded/ThreadedFused programs with
-/// a computed-goto label-address table (GCC/Clang extension; forced off
-/// by -DCLGS_FORCE_SWITCH_DISPATCH=ON). When false those modes run the
+/// True when the build dispatches Threaded programs with a computed-goto
+/// label-address table (GCC/Clang extension; forced off by
+/// -DCLGS_FORCE_SWITCH_DISPATCH=ON). When false that mode runs the
 /// portable fallback loop — same handlers, same results.
 bool threadedDispatchAvailable();
 
-/// Stable lowercase name ("auto", "switch", "threaded", "fused").
+/// Stable lowercase name ("auto", "switch", "threaded").
 const char *dispatchModeName(DispatchMode Mode);
 
 /// Parses a dispatchModeName() string; nullopt on anything else.
@@ -147,8 +146,7 @@ struct LaunchConfig {
   /// branch per instruction when null. Not thread-safe: point each
   /// concurrent launch at its own profile and merge afterwards.
   /// Profiling launches always execute on the Switch path regardless of
-  /// Dispatch, so opcode-pair counts see the unfused sequences fusion
-  /// candidates are mined from.
+  /// Dispatch: the profile hook lives only in the reference loop.
   OpcodeProfile *Profile = nullptr;
   /// Instruction dispatch strategy. Results are bit-identical across
   /// modes; see DispatchMode.

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Opt-in dynamic opcode profiling for vm::Interpreter: per-opcode and
-/// opcode-pair execution counts over real launches. The top-N pair
-/// report is the corpus-mining input the threaded-code/superinstruction
-/// roadmap item needs — it names the dynamically hottest dispatch
-/// sequences the synthesized kernels actually execute.
+/// opcode-pair execution counts over real launches. The top-N report
+/// names the dynamic opcode and opcode-pair mix the synthesized kernels
+/// actually execute, which is what any dispatch optimisation of the VM
+/// would have to target.
 ///
 /// The hooks are pointer-gated, not build-gated: `LaunchConfig::Profile
 /// == nullptr` (the default) costs one predictable branch per
@@ -48,8 +48,7 @@ struct OpcodeProfile {
   uint64_t Count[NumOpcodes] = {};
   /// Pair[A][B]: times opcode B executed immediately after opcode A
   /// within the same work-item (pairs never cross work-items or
-  /// launches — exactly the fusion candidates a superinstruction can
-  /// legally cover).
+  /// launches).
   uint64_t Pair[NumOpcodes][NumOpcodes] = {};
   /// Launches that contributed (merged-in profiles included).
   uint64_t Launches = 0;

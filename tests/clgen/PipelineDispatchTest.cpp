@@ -1,9 +1,9 @@
-//===- tests/clgen/PipelineDispatchTest.cpp - --dispatch byte-identity --------===//
+//===- tests/clgen/PipelineDispatchTest.cpp - dispatch byte-identity ----------===//
 //
 // Pipeline-level face of the VM's trap-parity contract: the measurement
 // pipeline must produce BYTE-identical measurements whichever dispatch
-// strategy (--dispatch switch/threaded/fused/auto) the VM runs, at every
-// measurement worker count, cold-cache and warm-cache. That identity is
+// strategy (DriverOptions::Dispatch: switch, threaded or auto) the VM
+// runs, at every measurement worker count, cold-cache and warm-cache. That identity is
 // what licenses excluding DispatchMode from the measurement cache key:
 // results cached under one mode are served under any other, which the
 // warm-cache test pins by demanding 100% hits across a mode change.
@@ -97,8 +97,8 @@ TEST(PipelineDispatchTest, ByteIdenticalAcrossModesAndWorkerCounts) {
       measurementBytes(runtime::runBenchmarkBatch(W.Kernels, W.P, W.Driver, 1));
 
   for (vm::DispatchMode Mode :
-       {vm::DispatchMode::Threaded, vm::DispatchMode::ThreadedFused,
-        vm::DispatchMode::Auto, vm::DispatchMode::Switch}) {
+       {vm::DispatchMode::Threaded, vm::DispatchMode::Auto,
+        vm::DispatchMode::Switch}) {
     for (unsigned Workers : {1u, 2u}) {
       SCOPED_TRACE(std::string("dispatch ") + vm::dispatchModeName(Mode) +
                    ", workers " + std::to_string(Workers));
@@ -128,12 +128,12 @@ TEST(PipelineDispatchTest, DispatchExcludedFromCacheKey) {
     Successes += M.ok() ? 1 : 0;
   EXPECT_GT(Successes, 0u);
 
-  // Warm cache under FUSED dispatch (fresh instance, so hits come off
+  // Warm cache under THREADED dispatch (fresh instance, so hits come off
   // disk): the mode is excluded from the key recipe, so every
   // measurement cached under switch must be served verbatim — and the
   // output must still be byte-identical, which is only sound because
   // the modes measure identically in the first place.
-  W.Driver.Dispatch = vm::DispatchMode::ThreadedFused;
+  W.Driver.Dispatch = vm::DispatchMode::Threaded;
   store::ResultCache Warm(Dir.str());
   runtime::BatchCacheStats WarmStats;
   auto WarmOut =
@@ -145,7 +145,7 @@ TEST(PipelineDispatchTest, DispatchExcludedFromCacheKey) {
 
 TEST(PipelineDispatchTest, StreamingPipelineHonorsDispatch) {
   // The streaming engine threads DriverOptions::Dispatch through to its
-  // measurement workers; fused streaming output must equal the phased
+  // measurement workers; threaded streaming output must equal the phased
   // switch-dispatch reference byte for byte.
   githubsim::GithubSimOptions GOpts;
   GOpts.FileCount = 60;
@@ -172,7 +172,7 @@ TEST(PipelineDispatchTest, StreamingPipelineHonorsDispatch) {
   StreamingOptions Opts;
   Opts.Synthesis = SOpts;
   Opts.Driver = Driver;
-  Opts.Driver.Dispatch = vm::DispatchMode::ThreadedFused;
+  Opts.Driver.Dispatch = vm::DispatchMode::Threaded;
   Opts.MeasureWorkers = 2;
   StreamingResult Out = Pipeline.synthesizeAndMeasure(P, Opts);
   EXPECT_EQ(measurementBytes(Out.Measurements), RefBytes);

@@ -8,7 +8,7 @@
 // (predict::goldenExperimentOptions) must produce Table 1 and Figure 9
 // report bytes IDENTICAL to the files checked in under tests/golden/,
 // for every scheduling configuration — worker counts {1, 2, hardware},
-// VM dispatch {switch, fused}, cold compute and warm store load. Any
+// VM dispatch {switch, threaded}, cold compute and warm store load. Any
 // semantic drift in synthesis, measurement, feature extraction, fold
 // assignment, tree training or report rendering shows up here as a
 // byte diff.
@@ -82,9 +82,9 @@ const MatrixEntry Matrix[] = {
     {"w1-switch", 1, vm::DispatchMode::Switch},
     {"w2-switch", 2, vm::DispatchMode::Switch},
     {"whw-switch", 0, vm::DispatchMode::Switch},
-    {"w1-fused", 1, vm::DispatchMode::ThreadedFused},
-    {"w2-fused", 2, vm::DispatchMode::ThreadedFused},
-    {"whw-fused", 0, vm::DispatchMode::ThreadedFused},
+    {"w1-threaded", 1, vm::DispatchMode::Threaded},
+    {"w2-threaded", 2, vm::DispatchMode::Threaded},
+    {"whw-threaded", 0, vm::DispatchMode::Threaded},
 };
 
 ExperimentOptions matrixOptions(const MatrixEntry &E) {

@@ -289,3 +289,56 @@ TEST(HostDriverTest, LargerPayloadTakesLonger) {
   EXPECT_GT(MLarge.get().CpuTime, MSmall.get().CpuTime);
   EXPECT_GT(MLarge.get().GpuTime, MSmall.get().GpuTime);
 }
+
+//===----------------------------------------------------------------------===//
+// DriverOptions knobs govern the checker's launches too
+//===----------------------------------------------------------------------===//
+
+TEST(HostDriverTest, CheckerLaunchesHonourTrapDivZero) {
+  // Every launch divides by zero, so with TrapDivZero set the first
+  // checker launch must trap. A checker that ignored the knob would see
+  // OpenCL's silent zero and reject the kernel as input insensitive.
+  DriverOptions Opts;
+  Opts.GlobalSize = 512;
+  Opts.RunDynamicCheck = true;
+  Opts.TrapDivZero = true;
+  auto M = runBenchmark(
+      "__kernel void k(__global int* a, const int n) {\n"
+      "  int i = get_global_id(0);\n"
+      "  a[i] = a[i] / (n - n);\n"
+      "}\n",
+      amdPlatform(), Opts);
+  ASSERT_FALSE(M.ok());
+  EXPECT_EQ(M.trap(), TrapKind::DivByZero) << M.errorMessage();
+  EXPECT_EQ(M.errorMessage().rfind("dynamic check failed: launch failure", 0),
+            0u)
+      << M.errorMessage();
+}
+
+TEST(HostDriverTest, CheckerLaunchesFeedTheProfile) {
+  // Straight-line kernel: every work-item retires the same number of
+  // instructions, so the profile of the 4 checker launches plus the
+  // timed one is known exactly from the timed launch's count.
+  DriverOptions Opts;
+  Opts.GlobalSize = 512; // 8 groups of 64: under the group cap, unscaled.
+  Opts.RunDynamicCheck = true;
+  SharedOpcodeProfile Profile;
+  Opts.Profile = &Profile;
+  auto M = runBenchmark(
+      "__kernel void k(__global float* a, const int n) {\n"
+      "  int i = get_global_id(0);\n"
+      "  a[i] = a[i] * 2.0f + 1.0f;\n"
+      "}\n",
+      amdPlatform(), Opts);
+  ASSERT_TRUE(M.ok()) << M.errorMessage();
+  const ExecCounters &C = M.get().Counters;
+  ASSERT_EQ(C.ItemsExecuted, C.ItemsTotal);
+  ASSERT_GT(C.ItemsTotal, 0u);
+  uint64_t PerItem = C.Instructions / C.ItemsTotal;
+  ASSERT_EQ(PerItem * C.ItemsTotal, C.Instructions);
+  uint64_t CheckItems = 4 * CheckOptions().GlobalSize;
+
+  OpcodeProfile P = Profile.snapshot();
+  EXPECT_EQ(P.Launches, 5u);
+  EXPECT_EQ(P.instructionTotal(), PerItem * (CheckItems + C.ItemsTotal));
+}

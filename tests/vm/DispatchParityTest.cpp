@@ -1,18 +1,16 @@
 //===- tests/vm/DispatchParityTest.cpp - dispatch trap-parity tests -----------===//
 //
 // The VM's trap-parity contract: Switch (the reference loop over raw
-// bytecode), Threaded (dispatch-resolved execution form) and
-// ThreadedFused (plus the profile-guided superinstruction pass) must be
+// bytecode) and Threaded (the dispatch-resolved execution form) must be
 // observationally identical — byte-identical survivor buffers, ExecCounters
 // equal field for field, and on failure the same TrapKind with the same
 // detail string. Dispatch is excluded from measurement cache keys on the
 // strength of this contract, so these tests are what make that exclusion
 // sound. Coverage: a catalog of well-formed kernels over randomized
-// payloads (spanning every fusion family), one kernel per trap class,
-// the launch-time Aux-range validation (out-of-range enum payloads must
-// be TrapKind::BadLaunch in every mode, never undefined behavior in a
-// fused handler), and unit tests of the prepareExecProgram fusion pass
-// itself (1:1 slot mapping, jump-target fusion barrier).
+// payloads, one kernel per trap class, the launch-time Aux-range
+// validation (out-of-range enum payloads must be TrapKind::BadLaunch in
+// every mode, never undefined behavior in a specialized handler), and a
+// unit test of prepareExecProgram's slot mapping.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +29,7 @@ using namespace clgen::vm;
 namespace {
 
 const DispatchMode AllModes[] = {DispatchMode::Switch, DispatchMode::Threaded,
-                                 DispatchMode::ThreadedFused};
+                                 DispatchMode::Auto};
 
 CompiledKernel compile(const std::string &Src) {
   auto R = compileFirstKernel(Src);
@@ -113,8 +111,7 @@ void expectParity(const CompiledKernel &K, const std::vector<KernelArg> &Args,
                   const std::vector<BufferData> &Input,
                   const LaunchConfig &Config) {
   Observed Ref = runMode(K, Args, Input, Config, DispatchMode::Switch);
-  for (DispatchMode Mode : {DispatchMode::Threaded,
-                            DispatchMode::ThreadedFused, DispatchMode::Auto}) {
+  for (DispatchMode Mode : {DispatchMode::Threaded, DispatchMode::Auto}) {
     SCOPED_TRACE(std::string("dispatch mode ") + dispatchModeName(Mode));
     Observed Got = runMode(K, Args, Input, Config, Mode);
     EXPECT_EQ(Ref.Ok, Got.Ok) << (Ref.Ok ? Got.Error : Ref.Error);
@@ -133,33 +130,33 @@ void expectParity(const CompiledKernel &K, const std::vector<KernelArg> &Args,
 
 //===----------------------------------------------------------------------===//
 // Successful launches: byte-identical results + counters on a kernel
-// catalog spanning every superinstruction family.
+// catalog.
 //===----------------------------------------------------------------------===//
 
-TEST(DispatchParityTest, FusionFamilyCatalog) {
-  // Each entry leans on a different part of the fusion pass: ldc+bin /
-  // bin+st (scale), ld+bin chains (stencil), bin+jz compare-branches
-  // (guards, loops), mov+bin and bin+bin (expression trees), cast+mov
-  // and callb+mov (builtins), mov+jmp (loop latches).
+TEST(DispatchParityTest, KernelCatalogParity) {
+  // Each entry leans on a different part of the threaded loop: constant
+  // arithmetic and stores (scale), chained loads (stencil), compare-
+  // branches (guards, loops), expression trees, casts and builtins, and
+  // loop latches.
   const char *Catalog[] = {
-      // ldc+bin, bin+st, mov chains.
+      // Constant arithmetic, stores, mov chains.
       "__kernel void A(__global float* a) {\n"
       "  int i = get_global_id(0);\n"
       "  a[i] = a[i] * 2.0f + 1.0f;\n"
       "}",
-      // Guarded saxpy: bin+jz from the bounds compare.
+      // Guarded saxpy: compare feeding a conditional branch.
       "__kernel void A(__global float* x, __global float* y, const int n) {\n"
       "  int i = get_global_id(0);\n"
       "  if (i < n) { y[i] = y[i] + 3.0f * x[i]; }\n"
       "}",
-      // Loop with latch (mov+jmp), reduction (bin+bin), integer ops.
+      // Loop with latch, reduction, integer ops.
       "__kernel void A(__global float* a, __global float* o, const int n) {\n"
       "  float s = 0.0f;\n"
       "  int parity = 0;\n"
       "  for (int i = 0; i < n; i++) { s += a[i]; parity = (parity + i) % 7; }\n"
       "  o[get_global_id(0)] = s + parity;\n"
       "}",
-      // Builtins: cast+mov, callb+mov, math-call accounting.
+      // Builtins: casts, calls, math-call accounting.
       "__kernel void A(__global float* a) {\n"
       "  int i = get_global_id(0);\n"
       "  float v = a[i];\n"
@@ -236,13 +233,13 @@ TEST(DispatchParityTest, OutOfBoundsTrapParity) {
   expectParity(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 1)},
                config1D(4, 4));
   Observed O = runMode(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 1)},
-                       config1D(4, 4), DispatchMode::ThreadedFused);
+                       config1D(4, 4), DispatchMode::Threaded);
   EXPECT_EQ(O.Trap, TrapKind::OutOfBounds);
 }
 
 TEST(DispatchParityTest, DivByZeroTrapParity) {
-  // The divisor arrives via buffer data, so the fused per-op DivI
-  // handler (not the compiler) must raise the trap.
+  // The divisor arrives via buffer data, so the threaded DivI handler
+  // (not the compiler) must raise the trap.
   CompiledKernel K = compile(
       "__kernel void A(__global int* a, __global int* d) {\n"
       "  int i = get_global_id(0);\n"
@@ -254,7 +251,7 @@ TEST(DispatchParityTest, DivByZeroTrapParity) {
                {randomBuffer(4, 1, 2), BufferData::zeros(4, 1)}, C);
   Observed O = runMode(K, {KernelArg::buffer(0), KernelArg::buffer(1)},
                        {randomBuffer(4, 1, 2), BufferData::zeros(4, 1)}, C,
-                       DispatchMode::ThreadedFused);
+                       DispatchMode::Threaded);
   EXPECT_EQ(O.Trap, TrapKind::DivByZero);
 
   // Without strict trapping the OpenCL-style silent zero must be the
@@ -266,9 +263,8 @@ TEST(DispatchParityTest, DivByZeroTrapParity) {
 
 TEST(DispatchParityTest, InstructionBudgetTrapParity) {
   // The budget trap must fire after the same retired-instruction count
-  // in every mode — the fused loop checks per original instruction, not
-  // per superinstruction, so the detail string (which quotes the count)
-  // must match byte for byte.
+  // in every mode, so the detail string (which quotes the count) must
+  // match byte for byte.
   CompiledKernel K = compile(
       "__kernel void A(__global float* a) {\n"
       "  while (1) { a[0] = a[0] + 1.0f; }\n"
@@ -277,7 +273,7 @@ TEST(DispatchParityTest, InstructionBudgetTrapParity) {
   C.MaxInstructions = 9999;
   expectParity(K, {KernelArg::buffer(0)}, {randomBuffer(1, 1, 3)}, C);
   Observed O = runMode(K, {KernelArg::buffer(0)}, {randomBuffer(1, 1, 3)}, C,
-                       DispatchMode::ThreadedFused);
+                       DispatchMode::Threaded);
   EXPECT_EQ(O.Trap, TrapKind::InstructionBudget);
 }
 
@@ -290,7 +286,7 @@ TEST(DispatchParityTest, BarrierDivergenceTrapParity) {
   expectParity(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 4)},
                config1D(4, 4));
   Observed O = runMode(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 4)},
-                       config1D(4, 4), DispatchMode::ThreadedFused);
+                       config1D(4, 4), DispatchMode::Threaded);
   EXPECT_EQ(O.Trap, TrapKind::BarrierDivergence);
 }
 
@@ -363,10 +359,10 @@ CompiledKernel poisonedKernel(Opcode Op, uint8_t Aux) {
 TEST(DispatchParityTest, OutOfRangeAuxIsBadLaunchInEveryMode) {
   // An Aux beyond the enum range must be rejected by launch-time
   // verification as TrapKind::BadLaunch in every dispatch mode. This is
-  // load-bearing for fused dispatch: prepareExecProgram specializes
-  // BinOp handlers by adding Aux to the family's _Add opcode, so an
-  // unvalidated Aux of 200 would index the label-address table out of
-  // range — undefined behavior, not a diagnostic.
+  // load-bearing for threaded dispatch: prepareExecProgram specializes
+  // BinOp handlers by adding Aux to BinAdd, so an unvalidated Aux of 200
+  // would index the label-address table out of range — undefined
+  // behavior, not a diagnostic.
   struct { Opcode Op; uint8_t Aux; } Cases[] = {
       {Opcode::BinOp, 200},                                     // > MaxI
       {Opcode::BinOp, static_cast<uint8_t>(VmBinOp::MaxI) + 1}, // first bad
@@ -398,61 +394,30 @@ TEST(DispatchParityTest, OutOfRangeAuxIsBadLaunchInEveryMode) {
 }
 
 //===----------------------------------------------------------------------===//
-// The fusion pass itself.
+// The execution-form lowering itself.
 //===----------------------------------------------------------------------===//
 
-TEST(DispatchParityTest, FusionPassFusesAndKeepsSlotMapping) {
-  CompiledKernel K = compile(
-      "__kernel void A(__global float* a) {\n"
-      "  int i = get_global_id(0);\n"
-      "  a[i] = a[i] * 2.0f + 1.0f;\n"
-      "}");
-  ExecProgram Fused, Plain;
-  prepareExecProgram(K, /*Fuse=*/true, Fused);
-  prepareExecProgram(K, /*Fuse=*/false, Plain);
-  EXPECT_GT(Fused.FusedPairs, 0u);
-  EXPECT_EQ(Plain.FusedPairs, 0u);
-  // 1:1 slot-per-pc mapping plus the trailing Halt sentinel, in both.
-  EXPECT_EQ(Fused.Code.size(), K.Code.size() + 1);
-  EXPECT_EQ(Plain.Code.size(), K.Code.size() + 1);
-  EXPECT_EQ(static_cast<ExtOp>(Fused.Code.back().Ext), ExtOp::Halt);
-  EXPECT_EQ(static_cast<ExtOp>(Plain.Code.back().Ext), ExtOp::Halt);
-  EXPECT_EQ(Fused.BranchSiteCount, K.BranchSites);
-}
-
-TEST(DispatchParityTest, FusionNeverSwallowsJumpTargets) {
-  // A fused pair at pc retires pc and pc+1 in one handler; if pc+1 is a
-  // jump target, a branch landing there would re-execute half the pair.
-  // The pass must refuse such pairs. A loop kernel has back-edges onto
-  // its header, which directly exercises the constraint.
+TEST(DispatchParityTest, ExecProgramKeepsSlotMapping) {
   CompiledKernel K = compile(
       "__kernel void A(__global float* a, const int n) {\n"
-      "  float s = 0.0f;\n"
-      "  for (int i = 0; i < n; i++) { s = s * 0.5f + a[i % 4]; }\n"
-      "  a[get_global_id(0)] = s;\n"
+      "  int i = get_global_id(0);\n"
+      "  if (i < n) { a[i] = a[i] * 2.0f + 1.0f; }\n"
       "}");
   ExecProgram P;
-  prepareExecProgram(K, /*Fuse=*/true, P);
-  std::vector<bool> IsTarget(K.Code.size() + 1, false);
-  for (const Instr &I : K.Code)
-    if (I.Op == Opcode::Jmp || I.Op == Opcode::Jz || I.Op == Opcode::Jnz)
-      IsTarget[static_cast<size_t>(I.Imm)] = true;
-  const uint8_t FirstFused = static_cast<uint8_t>(ExtOp::FuseLdcBin_Add);
-  size_t FusedSeen = 0;
-  for (size_t Pc = 0; Pc + 1 < P.Code.size(); ++Pc) {
-    if (P.Code[Pc].Ext < FirstFused)
-      continue;
-    ++FusedSeen;
-    EXPECT_FALSE(IsTarget[Pc + 1])
-        << "fused pair at pc " << Pc << " swallows jump target " << (Pc + 1);
-  }
-  EXPECT_EQ(FusedSeen, P.FusedPairs);
+  prepareExecProgram(K, P);
+  // One slot per pc holding that pc's instruction, plus the trailing
+  // Halt sentinel.
+  ASSERT_EQ(P.Code.size(), K.Code.size() + 1);
+  for (size_t Pc = 0; Pc < K.Code.size(); ++Pc)
+    EXPECT_EQ(P.Code[Pc].In.Op, K.Code[Pc].Op) << "pc " << Pc;
+  EXPECT_EQ(static_cast<ExtOp>(P.Code.back().Ext), ExtOp::Halt);
+  EXPECT_GT(P.BranchSiteCount, 0);
+  EXPECT_EQ(P.BranchSiteCount, K.BranchSites);
 }
 
 TEST(DispatchParityTest, DispatchModeNamesRoundTrip) {
   for (DispatchMode Mode :
-       {DispatchMode::Auto, DispatchMode::Switch, DispatchMode::Threaded,
-        DispatchMode::ThreadedFused}) {
+       {DispatchMode::Auto, DispatchMode::Switch, DispatchMode::Threaded}) {
     auto Parsed = parseDispatchMode(dispatchModeName(Mode));
     ASSERT_TRUE(Parsed.has_value());
     EXPECT_EQ(*Parsed, Mode);
