@@ -224,8 +224,8 @@ std::string benchStoreDir(const char *Leaf) {
 
 /// Cost of a full memoized measurement: content-address the kernel
 /// (bytecode hash + options + device configs) and serve the result from
-/// the cache — the per-kernel overhead a warm runBenchmarkBatch pays
-/// instead of executing. Compare against BM_InterpretKernel.
+/// the cache — the per-kernel overhead a warm streaming run pays at
+/// enqueue time instead of executing. Compare against BM_InterpretKernel.
 void BM_ResultCacheHit(benchmark::State &State) {
   std::string Dir = benchStoreDir("result_cache");
   auto K = vm::compileFirstKernel(sampleSource()).take();

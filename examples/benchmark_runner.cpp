@@ -5,27 +5,23 @@
 // runtime estimation — including what happens to kernels that do NOT
 // perform useful work.
 //
-// With --cache-dir DIR it instead runs the persistent-store pipeline:
-// ClgenPipeline::trainOrLoad warm-starts the model from DIR, synthesis
-// runs as usual (bit-identical either way), and driver measurements go
-// through the content-addressed ResultCache — rerunning the command
-// with a populated DIR skips training and every kernel execution.
+// With --pipeline it runs the 40-kernel streaming pipeline
+// (core::synthesizeAndMeasure): accepted kernels flow through a bounded
+// channel into measurement workers while synthesis keeps sampling, and
+// the report includes overlap timings (producer wall time vs the
+// measurement drain tail). Output is bit-identical to synthesizing
+// first and measuring with the uncached runtime::runBenchmarkBatch.
 //
-//   ./example_benchmark_runner --cache-dir /tmp/clgen-cache [--kernels N]
+// With --cache-dir DIR (--pipeline implied) the same pipeline runs over
+// the persistent store through synthesizeAndMeasureOrLoad, the path
+// clgen-serve takes: trainOrLoad warm-starts the model, cache and
+// failure-ledger hits are resolved at enqueue time, and the kernel set
+// persists, so a warm rerun loads the archived kernels instead of
+// sampling (zero sample attempts) and measures nothing, byte-identical
+// to the cold run.
 //
-// With --pipeline the synthesis→measurement phase barrier is replaced
-// by the streaming engine (core::synthesizeAndMeasure): accepted
-// kernels flow through a bounded channel into measurement workers while
-// synthesis keeps sampling, and the report includes overlap timings
-// (producer wall time vs the measurement drain tail). Output is
-// bit-identical to the phased run. Combines with --cache-dir, in which
-// case cache hits are resolved at enqueue time and never occupy a
-// measurement slot — and the kernel set itself persists: a warm rerun
-// loads the archived kernels instead of sampling (zero sample
-// attempts), byte-identical to the cold run.
-//
-//   ./example_benchmark_runner --pipeline [--cache-dir DIR] [--kernels N]
-//       [--measure-workers N] [--queue N]
+//   ./example_benchmark_runner [--pipeline] [--cache-dir DIR]
+//       [--kernels N] [--measure-workers N] [--queue N]
 //
 // With --backend lstm the pipeline trains the paper's LSTM instead of
 // the n-gram model, through the data-parallel training engine:
@@ -67,9 +63,7 @@ namespace {
 
 /// Phase stopwatch: wall time in ms for the console report, mirrored
 /// onto the metrics registry as a volatile gauge so --metrics-out
-/// carries the same phase timings the console prints. One definition
-/// replaces the per-phase steady_clock arithmetic the two pipeline
-/// modes used to duplicate.
+/// carries the same phase timings the console prints.
 class PhaseTimer {
 public:
   explicit PhaseTimer(const char *GaugeName)
@@ -88,7 +82,7 @@ private:
   uint64_t T0;
 };
 
-/// Everything the flag parser collects; both pipeline modes consume it.
+/// Everything the flag parser collects; every mode consumes it.
 struct RunnerConfig {
   std::string CacheDir;
   size_t TargetKernels = 40;
@@ -109,7 +103,7 @@ struct RunnerConfig {
   std::string MetricsOut;       // Metrics text exposition destination.
   bool ProfileVm = false;       // Print the opcode/pair profile report.
   /// Aggregation target for --profile-vm, owned by main and wired into
-  /// both modes' DriverOptions.
+  /// every mode's DriverOptions.
   vm::SharedOpcodeProfile *Profile = nullptr;
   // Predictive-modeling experiment (--experiment).
   bool Experiment = false;
@@ -158,7 +152,7 @@ struct FailureTally {
   int exitCode() const { return Ok == 0 ? 3 : 0; }
 };
 
-/// Model/corpus configuration shared by the cached and streaming modes.
+/// Model/corpus configuration of the streaming mode.
 core::PipelineOptions buildPipelineOptions(const RunnerConfig &Cfg) {
   core::PipelineOptions POpts;
   POpts.NGram.Order = 14;
@@ -177,7 +171,7 @@ void printModelConfig(const RunnerConfig &Cfg) {
                 Cfg.TrainWorkers == 0 ? " = hardware" : "");
 }
 
-/// The setup sequence both pipeline modes share: mine the simulated
+/// The setup sequence of the streaming mode: mine the simulated
 /// corpus, then train the model — warm-starting from the store when a
 /// cache directory is configured. Prints the model line; returns
 /// nullopt (after printing the error) when the store is unusable.
@@ -211,72 +205,11 @@ std::optional<core::ClgenPipeline> prepareModel(const RunnerConfig &Cfg) {
   return Loaded.take();
 }
 
-/// The --cache-dir mode: the standard 40-kernel synthesis + measurement
-/// configuration (the BENCH_perf.json end-to-end workload) on top of the
-/// artifact store. Cold runs train + execute and populate DIR; warm
-/// runs load the model and serve every measurement from cache.
-int runCachedPipeline(const RunnerConfig &Cfg) {
-  const std::string &CacheDir = Cfg.CacheDir;
-  PhaseTimer Total("clgen.runner.total_us");
-
-  std::optional<core::ClgenPipeline> Pipeline = prepareModel(Cfg);
-  if (!Pipeline)
-    return 1;
-
-  core::SynthesisOptions SOpts;
-  SOpts.TargetKernels = Cfg.TargetKernels;
-  SOpts.Sampling.Temperature = 0.5;
-  SOpts.Workers = 0;
-  PhaseTimer Synthesis("clgen.runner.synthesis_us");
-  bool SynthLoaded = false;
-  auto Synth = Pipeline->synthesizeOrLoad(CacheDir, SOpts, &SynthLoaded);
-  std::printf("synthesis: %zu kernels %s in %.1f ms (%zu attempts)\n",
-              Synth.Kernels.size(),
-              SynthLoaded ? "loaded from store" : "sampled + persisted",
-              Synthesis.stopMs(), Synth.Stats.Attempts);
-
-  std::vector<vm::CompiledKernel> Kernels;
-  Kernels.reserve(Synth.Kernels.size());
-  for (auto &K : Synth.Kernels)
-    Kernels.push_back(std::move(K.Kernel));
-
-  runtime::DriverOptions DOpts;
-  DOpts.GlobalSize = 16384;
-  DOpts.WatchdogMs = Cfg.WatchdogMs;
-  DOpts.MaxRetries = Cfg.Retries;
-  DOpts.Profile = Cfg.Profile;
-  store::ResultCache Cache(CacheDir + "/results");
-  store::FailureLedger Ledger(CacheDir + "/failures");
-  runtime::BatchCacheStats CStats;
-  PhaseTimer Measure("clgen.runner.measure_us");
-  auto Results = runtime::runBenchmarkBatch(Kernels, runtime::amdPlatform(),
-                                            DOpts, 0, Cache, &CStats,
-                                            &Ledger);
-  double MeasureMs = Measure.stopMs();
-
-  size_t GpuBest = 0;
-  FailureTally Tally;
-  for (const auto &R : Results) {
-    Tally.add(R);
-    if (R.ok() && R.get().gpuIsBest())
-      ++GpuBest;
-  }
-  std::printf("measurement: %zu kernels in %.1f ms — cache hits %zu, "
-              "misses %zu, ledger hits %zu, failures recorded %zu\n",
-              Results.size(), MeasureMs, CStats.Hits, CStats.Misses,
-              CStats.LedgerHits, CStats.LedgerRecords);
-  std::printf("mapping: %zu best on GPU, %zu on CPU, %zu failed\n", GpuBest,
-              Tally.Ok - GpuBest, Tally.Failed);
-  Tally.print();
-  std::printf("pipeline total: %.1f ms\n", Total.stopMs());
-  return Tally.exitCode();
-}
-
-/// The --pipeline mode: the same 40-kernel workload as --cache-dir, but
-/// synthesis and measurement run as a bounded producer/consumer
-/// pipeline instead of two phases. Prints the overlap evidence: how
-/// long the producer ran, and how long measurement kept draining after
-/// the last kernel was accepted.
+/// The --pipeline / --cache-dir mode: the standard 40-kernel synthesis
+/// + measurement workload as a bounded producer/consumer pipeline, over
+/// the artifact store when a cache directory is configured. Prints the
+/// overlap evidence: how long the producer ran, and how long
+/// measurement kept draining after the last kernel was accepted.
 int runStreamingPipeline(const RunnerConfig &Cfg) {
   const std::string &CacheDir = Cfg.CacheDir;
   PhaseTimer Total("clgen.runner.total_us");
@@ -543,16 +476,15 @@ void printUsage(const char *Prog, std::FILE *Out) {
       "execution), then a batched measurement demo.\n"
       "\n"
       "Pipeline modes:\n"
-      "  --cache-dir DIR       run the 40-kernel pipeline on top of the\n"
-      "                        persistent artifact store in DIR: cold runs\n"
-      "                        train + execute and populate it, warm runs\n"
-      "                        load the model and serve measurements from\n"
-      "                        the result cache\n"
-      "  --pipeline            stream synthesis straight into measurement\n"
-      "                        (bounded producer/consumer channel) instead\n"
-      "                        of two phases; combines with --cache-dir,\n"
-      "                        where warm reruns load the persisted kernel\n"
-      "                        set and perform zero sampling\n"
+      "  --pipeline            run the 40-kernel pipeline: synthesis streams\n"
+      "                        straight into measurement through a bounded\n"
+      "                        producer/consumer channel\n"
+      "  --cache-dir DIR       run that pipeline (--pipeline implied) over\n"
+      "                        the persistent artifact store in DIR: cold\n"
+      "                        runs train, sample and measure and populate\n"
+      "                        it; warm runs load the model and the kernel\n"
+      "                        set, sample nothing and serve measurements\n"
+      "                        from the result cache and failure ledger\n"
       "  --experiment          run the paper's closing loop on the pinned\n"
       "                        golden configuration: train CLgen, measure\n"
       "                        synthetic + real benchmarks, cross-validate\n"
@@ -592,8 +524,8 @@ void printUsage(const char *Prog, std::FILE *Out) {
       "                        and the artifact fingerprint; 1 = the\n"
       "                        paper's chunk-sequential SGD\n"
       "\n"
-      "Streaming knobs (with --pipeline; scheduling only, output is\n"
-      "bit-identical for every value):\n"
+      "Streaming knobs (with --pipeline or --cache-dir; scheduling only,\n"
+      "output is bit-identical for every value):\n"
       "  --measure-workers N   measurement consumer threads; 0 = hardware\n"
       "                        concurrency (default)\n"
       "  --queue N             kernel channel capacity; 0 = auto (default)\n"
@@ -602,8 +534,9 @@ void printUsage(const char *Prog, std::FILE *Out) {
       "  --refill              excise kernels whose measurement failed and\n"
       "                        resume synthesis for replacements until the\n"
       "                        target count of measurements succeeds\n"
-      "                        (--pipeline only); excisions are reported\n"
-      "                        per trap class\n"
+      "                        (not with --experiment; a refill run never\n"
+      "                        loads or persists the kernel set);\n"
+      "                        excisions are reported per trap class\n"
       "  --watchdog-ms N       per-launch wall-clock watchdog in ms; a\n"
       "                        stalled kernel fails as watchdog-timeout\n"
       "                        instead of wedging the batch (0 = off,\n"
@@ -806,23 +739,16 @@ int main(int Argc, char **Argv) {
                          "(--cache-dir and/or --pipeline)\n");
     return 2;
   }
-  if (Cfg.WorkloadFlagSet && !PipelineMode) {
-    std::fprintf(stderr, "--kernels/--files require a pipeline mode "
+  if ((Cfg.WorkloadFlagSet || Cfg.StreamFlagSet || Cfg.Refill) &&
+      !PipelineMode) {
+    std::fprintf(stderr, "--kernels/--files/--measure-workers/--queue/"
+                         "--refill require a pipeline mode "
                          "(--cache-dir and/or --pipeline)\n");
     return 2;
   }
   if (Cfg.TrainFlagSet && !Cfg.UseLstm) {
     std::fprintf(stderr, "--train-workers/--train-lanes only apply to "
                          "--backend lstm\n");
-    return 2;
-  }
-  if (Cfg.StreamFlagSet && !Cfg.Pipeline) {
-    std::fprintf(stderr,
-                 "--measure-workers/--queue only apply to --pipeline\n");
-    return 2;
-  }
-  if (Cfg.Refill && !Cfg.Pipeline) {
-    std::fprintf(stderr, "--refill only applies to --pipeline\n");
     return 2;
   }
   if (Cfg.DriverFlagSet && !PipelineMode) {
@@ -865,10 +791,8 @@ int main(int Argc, char **Argv) {
   int Exit = -1;
   if (Cfg.Experiment)
     Exit = runExperimentMode(Cfg);
-  else if (Cfg.Pipeline)
+  else if (PipelineMode)
     Exit = runStreamingPipeline(Cfg);
-  else if (!Cfg.CacheDir.empty())
-    Exit = runCachedPipeline(Cfg);
   if (Exit >= 0) {
     if (!flushTelemetry(Cfg, VmProfile) && Exit == 0)
       Exit = 1;

@@ -64,8 +64,8 @@ cmake --build "$BUILD" -j "$(nproc)" --target clgen_tests clgen_stress_tests \
       >/dev/null
 
 echo "$NAME: running ctest ${SELECT[*]}"
-# The label selection must precede the bare -j: ctest's optional-value
-# -j would otherwise swallow it and run the suite unfiltered.
-(cd "$BUILD" && ctest --output-on-failure "${SELECT[@]}" -j)
+# An explicit job count: a bare -j runs one test at a time on CMake
+# 3.25, and would swallow a following argument as its value.
+(cd "$BUILD" && ctest --output-on-failure "${SELECT[@]}" -j "$(nproc)")
 
 echo "$NAME: the variant tree drifts by nothing"

@@ -53,50 +53,43 @@ SynthesisResult ClgenPipeline::synthesize(const SynthesisOptions &Opts) {
   return synthesizeKernels(*Model, Opts);
 }
 
-StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
-                                           const runtime::Platform &P,
-                                           const StreamingOptions &Opts) {
-  using Clock = std::chrono::steady_clock;
-  auto MsBetween = [](Clock::time_point A, Clock::time_point B) {
-    return std::chrono::duration<double, std::milli>(B - A).count();
-  };
-  Clock::time_point Start = Clock::now();
+namespace {
 
-  StreamingResult Out;
-  // One result slot per ACCEPTED kernel, appended in accept order: a
-  // deque keeps element addresses stable while it grows, so the
-  // producer can mint new slots while consumers write through pointers
-  // to earlier ones — memory stays proportional to actual output, not
-  // the requested target. Keys and the ledger-hit flags are
-  // index-aligned side tables (kept only when a cache or ledger is
-  // configured).
-  std::deque<Result<runtime::Measurement>> Slots;
-  std::deque<uint64_t> Keys;
-  std::deque<bool> FromLedger;
-  const bool NeedKeys = Opts.Cache != nullptr || Opts.Ledger != nullptr;
+using Clock = std::chrono::steady_clock;
 
-  size_t MeasureWorkers =
-      ThreadPool::resolveWorkerCount(Opts.MeasureWorkers);
-  size_t Capacity = Opts.QueueCapacity > 0
-                        ? Opts.QueueCapacity
-                        : std::max<size_t>(MeasureWorkers * 2, 8);
+double msBetween(Clock::time_point A, Clock::time_point B) {
+  return std::chrono::duration<double, std::milli>(B - A).count();
+}
 
-  Rng Base(Opts.Driver.Seed);
-  SynthesisEngine Eng(Model, Opts.Synthesis);
+/// Feeds kernels, in accept order, into the sink it is given.
+using Producer = std::function<void(const AcceptSink &)>;
 
-  double SynthMs = 0.0, DrainMs = 0.0;
-  size_t Scanned = 0; // Slots already swept for ledger recording.
+/// The cached measurement engine behind synthesizeAndMeasure and
+/// measureKernels. A producer hands kernels to the enqueue sink, which
+/// resolves cache and ledger hits in place and pushes misses onto a
+/// bounded channel drained by the consumer pool; after the join, fresh
+/// deterministic failures are swept into the ledger. The two entry
+/// points differ only in the producer: the synthesis engine, or a loop
+/// over a fixed kernel set.
+class MeasureStream {
+public:
+  MeasureStream(const runtime::Platform &P, const StreamingOptions &Opts)
+      : P(P), Opts(Opts), Base(Opts.Driver.Seed),
+        NeedKeys(Opts.Cache != nullptr || Opts.Ledger != nullptr),
+        Workers(ThreadPool::resolveWorkerCount(Opts.MeasureWorkers)),
+        Capacity(Opts.QueueCapacity > 0 ? Opts.QueueCapacity
+                                        : std::max<size_t>(Workers * 2, 8)) {}
 
-  // One producer/consumer round: extends the accepted-kernel set to
-  // \p CumTarget with a fresh channel + consumer pool, then drains and
-  // sweeps the new slots into the failure ledger. The classic
-  // (non-refill) pipeline is exactly one round; refill runs more.
-  auto RunRound = [&](size_t CumTarget) {
+  /// One producer/consumer round: a fresh channel and consumer pool
+  /// measure every kernel \p Produce hands over, then this round's new
+  /// slots are swept into the ledger. The classic pipeline and the
+  /// fixed-set path are one round; refill runs more.
+  void round(const Producer &Produce) {
     support::Channel<runtime::MeasureJob> Jobs(Capacity);
     std::vector<std::thread> Consumers;
-    Consumers.reserve(MeasureWorkers);
-    for (size_t W = 0; W < MeasureWorkers; ++W)
-      Consumers.emplace_back([&Jobs, &P, &Opts] {
+    Consumers.reserve(Workers);
+    for (size_t W = 0; W < Workers; ++W)
+      Consumers.emplace_back([this, &Jobs] {
         runtime::runMeasurementLoop(Jobs, P, Opts.Cache);
       });
 
@@ -118,75 +111,112 @@ StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
     std::function<void()> CloseFn = CloseAndJoin;
     Guard JoinGuard{CloseFn};
 
-    // The producer: the in-order accept stage hands each kernel over
-    // the moment it is admitted. The batch-seed derivation matches
-    // runBenchmarkBatch exactly, so streaming results (and cache keys)
-    // are those of the phased path.
-    AcceptSink Enqueue = [&](size_t Index, const SynthesizedKernel &SK) {
-      CLGS_TRACE_SPAN_IDX("enqueue", Index);
-      Slots.push_back(Result<runtime::Measurement>::error("not measured"));
-      runtime::MeasureJob J;
-      J.Slot = &Slots.back();
-      J.Index = Index;
-      J.Opts = runtime::batchDriverOptions(Opts.Driver, Base, Index);
-      if (NeedKeys) {
-        Keys.push_back(store::measurementKey(SK.Kernel, J.Opts, P));
-        FromLedger.push_back(false);
-      }
-      // Injected producer-side fault, keyed by the accept index: the
-      // kernel's slot records an injected failure without a job ever
-      // entering the channel — the refill pass treats it like any
-      // other failed measurement.
-      if (CLGS_FAILPOINT_KEYED("pipeline.enqueue", Index)) {
-        *J.Slot = Result<runtime::Measurement>::error(
-            "injected fault at pipeline.enqueue", TrapKind::Injected);
+    Clock::time_point RoundStart = Clock::now();
+    Produce([&](size_t Index, const SynthesizedKernel &SK) {
+      enqueue(Jobs, Index, SK);
+    });
+    Clock::time_point ProduceDone = Clock::now();
+    CloseAndJoin();
+    DrainMs += msBetween(ProduceDone, Clock::now());
+    ProduceMs += msBetween(RoundStart, ProduceDone);
+    sweepLedger();
+  }
+
+  /// One result slot per kernel, appended in accept order: a deque
+  /// keeps element addresses stable while it grows, so the producer can
+  /// mint new slots while consumers write through pointers to earlier
+  /// ones, and memory stays proportional to actual output, not the
+  /// requested target. Keys and the ledger-hit flags are index-aligned
+  /// side tables, kept only when a cache or ledger is configured.
+  std::deque<Result<runtime::Measurement>> Slots;
+  std::deque<uint64_t> Keys;
+  std::deque<bool> FromLedger;
+  runtime::BatchCacheStats CacheStats;
+  double ProduceMs = 0.0, DrainMs = 0.0;
+
+  bool keyed() const { return NeedKeys; }
+
+  /// Moves every slot out, in accept order.
+  std::vector<Result<runtime::Measurement>> takeMeasurements() {
+    std::vector<Result<runtime::Measurement>> Out;
+    Out.reserve(Slots.size());
+    for (Result<runtime::Measurement> &S : Slots)
+      Out.push_back(std::move(S));
+    return Out;
+  }
+
+  /// Fills the measurement-side fields every entry point reports.
+  void report(StreamingResult &Out) const {
+    Out.CacheStats = CacheStats;
+    Out.SynthesisWallMs = ProduceMs;
+    Out.DrainWallMs = DrainMs;
+  }
+
+private:
+  /// The enqueue sink: kernel \p Index is measured under
+  /// batchDriverOptions(Driver, Base, Index), the derivation the
+  /// uncached runBenchmarkBatch uses too, so results (and cache keys)
+  /// are those of the phased path.
+  void enqueue(support::Channel<runtime::MeasureJob> &Jobs, size_t Index,
+               const SynthesizedKernel &SK) {
+    CLGS_TRACE_SPAN_IDX("enqueue", Index);
+    Slots.push_back(Result<runtime::Measurement>::error("not measured"));
+    runtime::MeasureJob J;
+    J.Slot = &Slots.back();
+    J.Index = Index;
+    J.Opts = runtime::batchDriverOptions(Opts.Driver, Base, Index);
+    if (NeedKeys) {
+      Keys.push_back(store::measurementKey(SK.Kernel, J.Opts, P));
+      FromLedger.push_back(false);
+    }
+    // Injected producer-side fault, keyed by the accept index: the
+    // kernel's slot records an injected failure without a job ever
+    // entering the channel — the refill pass treats it like any other
+    // failed measurement.
+    if (CLGS_FAILPOINT_KEYED("pipeline.enqueue", Index)) {
+      *J.Slot = Result<runtime::Measurement>::error(
+          "injected fault at pipeline.enqueue", TrapKind::Injected);
+      return;
+    }
+    if (Opts.Cache) {
+      J.CacheKey = Keys.back();
+      if (auto Hit = Opts.Cache->lookup(J.CacheKey)) {
+        // Enqueue-time probe: a hit is resolved right here and never
+        // occupies a measurement slot.
+        *J.Slot = *Hit;
+        ++CacheStats.Hits;
+        CLGS_COUNT("clgen.measure.cache_hits");
         return;
       }
-      if (Opts.Cache) {
-        J.CacheKey = Keys.back();
-        if (auto Hit = Opts.Cache->lookup(J.CacheKey)) {
-          // Enqueue-time probe: a hit is resolved right here and never
-          // occupies a measurement slot.
-          *J.Slot = *Hit;
-          ++Out.CacheStats.Hits;
-          CLGS_COUNT("clgen.measure.cache_hits");
-          return;
-        }
-        J.WriteBack = true;
-      }
-      if (Opts.Ledger) {
-        if (auto Known = Opts.Ledger->lookup(Keys.back())) {
-          // Negative hit: the recorded failure is replayed verbatim;
-          // the kernel is never (re-)measured.
-          *J.Slot = Result<runtime::Measurement>::error(Known->Detail,
-                                                        Known->Kind);
-          FromLedger.back() = true;
-          ++Out.CacheStats.LedgerHits;
-          CLGS_COUNT("clgen.measure.ledger_hits");
-          return;
-        }
-      }
-      if (Opts.Cache) {
-        ++Out.CacheStats.Misses; // Counts kernels actually measured.
-        CLGS_COUNT("clgen.measure.misses");
-      }
-      J.Kernel = SK.Kernel;
-      Jobs.push(std::move(J)); // Blocks when measurement is behind.
-    };
-
-    Clock::time_point RoundStart = Clock::now();
-    Eng.extendTo(CumTarget, Enqueue);
-    Clock::time_point RoundSynthDone = Clock::now();
-    CloseAndJoin();
-    DrainMs += MsBetween(RoundSynthDone, Clock::now());
-    SynthMs += MsBetween(RoundStart, RoundSynthDone);
-
-    // Sweep this round's fresh deterministic failures into the ledger
-    // (record() refuses transient/injected kinds on its own, but the
-    // isDeterministicTrap guard keeps the tally exact). Producer-side,
-    // after the join: consumers never touch the ledger.
+      J.WriteBack = true;
+    }
     if (Opts.Ledger) {
-      for (size_t I = Scanned; I < Slots.size(); ++I) {
+      if (auto Known = Opts.Ledger->lookup(Keys.back())) {
+        // Negative hit: the recorded failure is replayed verbatim; the
+        // kernel is never (re-)measured.
+        *J.Slot = Result<runtime::Measurement>::error(Known->Detail,
+                                                      Known->Kind);
+        FromLedger.back() = true;
+        ++CacheStats.LedgerHits;
+        CLGS_COUNT("clgen.measure.ledger_hits");
+        return;
+      }
+    }
+    if (Opts.Cache) {
+      ++CacheStats.Misses; // Counts kernels actually measured.
+      CLGS_COUNT("clgen.measure.misses");
+    }
+    J.Kernel = SK.Kernel;
+    Jobs.push(std::move(J)); // Blocks when measurement is behind.
+  }
+
+  /// Records the fresh deterministic failures among the slots added
+  /// since the last sweep (record() refuses transient/injected kinds on
+  /// its own, but the isDeterministicTrap guard keeps the tally exact).
+  /// Producer-side, after the join: consumers never touch the ledger.
+  void sweepLedger() {
+    if (Opts.Ledger) {
+      for (size_t I = Swept; I < Slots.size(); ++I) {
         if (Slots[I].ok() || FromLedger[I] ||
             !isDeterministicTrap(Slots[I].trap()))
           continue;
@@ -195,17 +225,39 @@ StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
         Rec.Detail = Slots[I].errorMessage();
         Rec.Attempts = 1; // Deterministic traps fail on attempt one.
         if (Opts.Ledger->record(Keys[I], Rec).ok()) {
-          ++Out.CacheStats.LedgerRecords;
+          ++CacheStats.LedgerRecords;
           CLGS_COUNT("clgen.measure.ledger_records");
         }
       }
     }
-    Scanned = Slots.size();
+    Swept = Slots.size();
+  }
+
+  const runtime::Platform &P;
+  const StreamingOptions &Opts;
+  const Rng Base;
+  const bool NeedKeys;
+  const size_t Workers, Capacity;
+  size_t Swept = 0; // Slots already swept for ledger recording.
+};
+
+} // namespace
+
+StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
+                                           const runtime::Platform &P,
+                                           const StreamingOptions &Opts) {
+  Clock::time_point Start = Clock::now();
+  MeasureStream Stream(P, Opts);
+  SynthesisEngine Eng(Model, Opts.Synthesis);
+  auto RunRound = [&](size_t CumTarget) {
+    Stream.round(
+        [&](const AcceptSink &Sink) { Eng.extendTo(CumTarget, Sink); });
   };
 
   const size_t Target = Opts.Synthesis.TargetKernels;
   RunRound(Target);
 
+  std::deque<Result<runtime::Measurement>> &Slots = Stream.Slots;
   if (Opts.RefillFailures) {
     // Refill rounds: every failed slot is a shortfall; the engine's
     // sampling cursor resumes where it stopped, so replacement kernels
@@ -230,6 +282,7 @@ StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
   }
   Clock::time_point End = Clock::now();
 
+  StreamingResult Out;
   std::vector<SynthesizedKernel> AllKernels = Eng.takeKernels();
   Out.Stats = Eng.stats();
   if (Opts.RefillFailures) {
@@ -244,22 +297,39 @@ StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
         ExcisedKernel E;
         E.AcceptIndex = I;
         E.Source = std::move(AllKernels[I].Source);
-        E.Key = NeedKeys ? Keys[I] : 0;
+        E.Key = Stream.keyed() ? Stream.Keys[I] : 0;
         E.Kind = Slots[I].trap();
         E.Error = Slots[I].errorMessage();
-        E.FromLedger = NeedKeys ? static_cast<bool>(FromLedger[I]) : false;
+        E.FromLedger =
+            Stream.keyed() ? static_cast<bool>(Stream.FromLedger[I]) : false;
         Out.Excised.push_back(std::move(E));
       }
     }
   } else {
     Out.Kernels = std::move(AllKernels);
-    Out.Measurements.reserve(Slots.size());
-    for (Result<runtime::Measurement> &S : Slots)
-      Out.Measurements.push_back(std::move(S));
+    Out.Measurements = Stream.takeMeasurements();
   }
-  Out.SynthesisWallMs = SynthMs;
-  Out.DrainWallMs = DrainMs;
-  Out.TotalWallMs = MsBetween(Start, End);
+  Stream.report(Out);
+  Out.TotalWallMs = msBetween(Start, End);
+  return Out;
+}
+
+StreamingResult core::measureKernels(SynthesisResult Kernels,
+                                     const runtime::Platform &P,
+                                     const StreamingOptions &Opts) {
+  Clock::time_point Start = Clock::now();
+  MeasureStream Stream(P, Opts);
+  Stream.round([&](const AcceptSink &Sink) {
+    for (size_t I = 0; I < Kernels.Kernels.size(); ++I)
+      Sink(I, Kernels.Kernels[I]);
+  });
+
+  StreamingResult Out;
+  Out.Kernels = std::move(Kernels.Kernels);
+  Out.Stats = Kernels.Stats; // Replayed archive stats: byte-parity with cold.
+  Out.Measurements = Stream.takeMeasurements();
+  Stream.report(Out);
+  Out.TotalWallMs = msBetween(Start, Clock::now());
   return Out;
 }
 
@@ -314,132 +384,6 @@ void saveSynthesisArtifact(const std::string &Path,
     store::serializeCompiledKernel(W, K.Kernel);
   }
   (void)W.saveTo(Path);
-}
-
-/// The streaming warm path: measures an already-loaded kernel set. The
-/// producer is an archive reader, not a sampler — no SynthesisEngine
-/// exists, so the request performs zero sampling by construction. The
-/// per-kernel seed derivation (accept index into batchDriverOptions),
-/// the enqueue-time cache/ledger probes and the ledger sweep are the
-/// same as the cold pipeline, so measurements (and cache keys) are
-/// byte-identical to a cold run of the same configuration.
-StreamingResult measureLoadedKernels(SynthesisResult Loaded,
-                                     const runtime::Platform &P,
-                                     const StreamingOptions &Opts) {
-  using Clock = std::chrono::steady_clock;
-  auto MsBetween = [](Clock::time_point A, Clock::time_point B) {
-    return std::chrono::duration<double, std::milli>(B - A).count();
-  };
-  Clock::time_point Start = Clock::now();
-
-  StreamingResult Out;
-  const size_t N = Loaded.Kernels.size();
-  std::deque<Result<runtime::Measurement>> Slots;
-  std::deque<uint64_t> Keys;
-  std::deque<bool> FromLedger;
-  const bool NeedKeys = Opts.Cache != nullptr || Opts.Ledger != nullptr;
-
-  size_t MeasureWorkers =
-      ThreadPool::resolveWorkerCount(Opts.MeasureWorkers);
-  size_t Capacity = Opts.QueueCapacity > 0
-                        ? Opts.QueueCapacity
-                        : std::max<size_t>(MeasureWorkers * 2, 8);
-
-  Rng Base(Opts.Driver.Seed);
-
-  support::Channel<runtime::MeasureJob> Jobs(Capacity);
-  std::vector<std::thread> Consumers;
-  Consumers.reserve(MeasureWorkers);
-  for (size_t W = 0; W < MeasureWorkers; ++W)
-    Consumers.emplace_back([&Jobs, &P, &Opts] {
-      runtime::runMeasurementLoop(Jobs, P, Opts.Cache);
-    });
-  auto CloseAndJoin = [&Jobs, &Consumers] {
-    Jobs.close();
-    for (std::thread &T : Consumers)
-      if (T.joinable())
-        T.join();
-  };
-  struct Guard {
-    std::function<void()> &Fn;
-    ~Guard() { Fn(); }
-  };
-  std::function<void()> CloseFn = CloseAndJoin;
-  Guard JoinGuard{CloseFn};
-
-  Clock::time_point ProduceStart = Clock::now();
-  for (size_t Index = 0; Index < N; ++Index) {
-    const SynthesizedKernel &SK = Loaded.Kernels[Index];
-    CLGS_TRACE_SPAN_IDX("enqueue", Index);
-    Slots.push_back(Result<runtime::Measurement>::error("not measured"));
-    runtime::MeasureJob J;
-    J.Slot = &Slots.back();
-    J.Index = Index;
-    J.Opts = runtime::batchDriverOptions(Opts.Driver, Base, Index);
-    if (NeedKeys) {
-      Keys.push_back(store::measurementKey(SK.Kernel, J.Opts, P));
-      FromLedger.push_back(false);
-    }
-    if (CLGS_FAILPOINT_KEYED("pipeline.enqueue", Index)) {
-      *J.Slot = Result<runtime::Measurement>::error(
-          "injected fault at pipeline.enqueue", TrapKind::Injected);
-      continue;
-    }
-    if (Opts.Cache) {
-      J.CacheKey = Keys.back();
-      if (auto Hit = Opts.Cache->lookup(J.CacheKey)) {
-        *J.Slot = *Hit;
-        ++Out.CacheStats.Hits;
-        CLGS_COUNT("clgen.measure.cache_hits");
-        continue;
-      }
-      J.WriteBack = true;
-    }
-    if (Opts.Ledger) {
-      if (auto Known = Opts.Ledger->lookup(Keys.back())) {
-        *J.Slot = Result<runtime::Measurement>::error(Known->Detail,
-                                                      Known->Kind);
-        FromLedger.back() = true;
-        ++Out.CacheStats.LedgerHits;
-        CLGS_COUNT("clgen.measure.ledger_hits");
-        continue;
-      }
-    }
-    if (Opts.Cache) {
-      ++Out.CacheStats.Misses;
-      CLGS_COUNT("clgen.measure.misses");
-    }
-    J.Kernel = SK.Kernel;
-    Jobs.push(std::move(J));
-  }
-  Clock::time_point ProduceDone = Clock::now();
-  CloseAndJoin();
-  Out.DrainWallMs = MsBetween(ProduceDone, Clock::now());
-  Out.SynthesisWallMs = MsBetween(ProduceStart, ProduceDone);
-
-  if (Opts.Ledger) {
-    for (size_t I = 0; I < Slots.size(); ++I) {
-      if (Slots[I].ok() || FromLedger[I] ||
-          !isDeterministicTrap(Slots[I].trap()))
-        continue;
-      store::FailureRecord Rec;
-      Rec.Kind = Slots[I].trap();
-      Rec.Detail = Slots[I].errorMessage();
-      Rec.Attempts = 1;
-      if (Opts.Ledger->record(Keys[I], Rec).ok()) {
-        ++Out.CacheStats.LedgerRecords;
-        CLGS_COUNT("clgen.measure.ledger_records");
-      }
-    }
-  }
-
-  Out.Kernels = std::move(Loaded.Kernels);
-  Out.Stats = Loaded.Stats; // Replayed archive stats: byte-parity with cold.
-  Out.Measurements.reserve(Slots.size());
-  for (Result<runtime::Measurement> &S : Slots)
-    Out.Measurements.push_back(std::move(S));
-  Out.TotalWallMs = MsBetween(Start, Clock::now());
-  return Out;
 }
 
 } // namespace
@@ -555,7 +499,7 @@ StreamingResult ClgenPipeline::synthesizeAndMeasureOrLoad(
     I.Warm = true;
     I.LoadedKernels = Loaded.Kernels.size();
     CLGS_COUNT("clgen.stream.warm_starts");
-    return measureLoadedKernels(std::move(Loaded), P, Opts);
+    return measureKernels(std::move(Loaded), P, Opts);
   };
   if (auto Hit = loadSynthesisArtifact(I.ArtifactPath))
     return MeasureWarm(std::move(*Hit));

@@ -27,6 +27,9 @@
 #include <string>
 
 namespace clgen {
+namespace store {
+class FailureLedger;
+} // namespace store
 namespace core {
 
 enum class ModelBackend {
@@ -160,7 +163,7 @@ struct StreamingWarmInfo {
   std::string ArtifactPath;
 };
 
-/// The tentpole entry point: runs synthesis and driver-side measurement
+/// The streaming entry point: runs synthesis and driver-side measurement
 /// as a bounded producer/consumer pipeline instead of two phase-barried
 /// batches. Accepted kernels flow through a support::Channel from the
 /// (accept-order) synthesis stage straight into measurement workers.
@@ -175,6 +178,23 @@ struct StreamingWarmInfo {
 StreamingResult synthesizeAndMeasure(model::LanguageModel &Model,
                                      const runtime::Platform &P,
                                      const StreamingOptions &Opts);
+
+/// Measures a given kernel set on the same engine as
+/// synthesizeAndMeasure, with a loop over \p Kernels as the producer in
+/// place of the sampler. No synthesis engine is constructed, so the
+/// call samples nothing. Kernel i is keyed and measured exactly as if
+/// it had been accepted i-th: enqueue-time probes of Opts.Cache and
+/// Opts.Ledger, misses measured by Opts.MeasureWorkers consumers and
+/// written back, fresh deterministic failures recorded in the ledger.
+/// So the measurements equal the uncached runtime::runBenchmarkBatch
+/// over the same kernels, and CacheStats tallies what THIS call
+/// measured (Misses) and served (Hits, LedgerHits). Stats is copied
+/// from \p Kernels; Opts.Synthesis and Opts.RefillFailures are ignored
+/// (failures stay in place). This is the warm path of
+/// ClgenPipeline::synthesizeAndMeasureOrLoad.
+StreamingResult measureKernels(SynthesisResult Kernels,
+                               const runtime::Platform &P,
+                               const StreamingOptions &Opts);
 
 /// A trained CLgen instance: the corpus it learned from plus the model.
 class ClgenPipeline {

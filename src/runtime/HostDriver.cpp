@@ -6,8 +6,6 @@
 
 #include "runtime/HostDriver.h"
 
-#include "store/FailureLedger.h"
-#include "store/Lock.h"
 #include "store/ResultCache.h"
 #include "support/FailPoint.h"
 #include "support/Metrics.h"
@@ -17,7 +15,6 @@
 #include "vm/Profile.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -192,129 +189,6 @@ runtime::runBenchmarkBatch(const std::vector<CompiledKernel> &Kernels,
   ThreadPool Pool(N);
   Pool.parallelFor(0, Kernels.size(),
                    [&](size_t, size_t I) { MeasureOne(I); });
-  return Out;
-}
-
-std::vector<Result<Measurement>>
-runtime::runBenchmarkBatch(const std::vector<CompiledKernel> &Kernels,
-                           const Platform &P, const DriverOptions &Opts,
-                           unsigned Workers, store::ResultCache &Cache,
-                           BatchCacheStats *CacheStats,
-                           store::FailureLedger *Ledger) {
-  std::vector<Result<Measurement>> Out(
-      Kernels.size(), Result<Measurement>::error("not measured"));
-  Rng Base(Opts.Seed);
-
-  // Resolve the per-kernel effective options first (the key includes the
-  // split payload seed), then probe the cache and the failure ledger;
-  // only genuine misses execute. A ledger negative hit replays the
-  // recorded diagnostic byte-identically, so re-runs over a corpus of
-  // mostly-bad kernels cost file reads, not measurements.
-  std::vector<DriverOptions> KernelOpts(Kernels.size(), Opts);
-  std::vector<uint64_t> Keys(Kernels.size());
-  std::vector<size_t> MissIndices;
-  BatchCacheStats Tally;
-  for (size_t I = 0; I < Kernels.size(); ++I) {
-    KernelOpts[I] = batchDriverOptions(Opts, Base, I);
-    Keys[I] = store::measurementKey(Kernels[I], KernelOpts[I], P);
-    if (auto Cached = Cache.lookup(Keys[I])) {
-      Out[I] = *Cached;
-      ++Tally.Hits;
-    } else if (auto Known = Ledger ? Ledger->lookup(Keys[I])
-                                   : std::nullopt) {
-      Out[I] = Result<Measurement>::error(Known->Detail, Known->Kind);
-      ++Tally.LedgerHits;
-    } else {
-      MissIndices.push_back(I);
-      ++Tally.Misses;
-    }
-  }
-
-  // Stampede control over the expensive miss path: concurrent cold
-  // batches of one configuration serialize on an advisory lock keyed
-  // by the digest of the WHOLE batch key set — not the miss subset,
-  // which would let a racer that probed mid-publication (seeing a
-  // different subset) take a different lock and duplicate work. The
-  // warm path (no misses) never touches a lock; uncontended misses
-  // skip the poll loop via tryAcquire; racers wait; every holder
-  // RE-PROBES the cache (double-checked locking) and measures just
-  // what the winner did not publish. A failed or timed-out lock
-  // degrades to duplicated measurement — results are identical either
-  // way, because the simulator is deterministic and write-back is
-  // atomic. Tally counts what THIS call measured vs served from cache,
-  // so exactly-once stress tests can sum Misses across racers.
-  store::ScopedLock BatchLock; // Held (if taken) until measurement ends.
-  if (!MissIndices.empty() && Cache.directoryOk()) {
-    uint64_t BatchDigest = 0xCBF29CE484222325ull;
-    for (uint64_t Key : Keys)
-      BatchDigest = store::fnv1a64(&Key, sizeof(Key), BatchDigest);
-    BatchLock = store::ScopedLock::acquireForMiss(
-        store::lockFilePath(Cache.directory(), "batch", BatchDigest));
-    if (BatchLock.held()) {
-      // Re-probe under the lock, even when it was uncontended: a racer
-      // may have published and released between our first probe and
-      // the acquisition, and holders always publish before releasing —
-      // so whatever is going to exist already does. This is what makes
-      // "K concurrent cold batches measure each kernel exactly once"
-      // strict rather than probabilistic.
-      std::vector<size_t> StillMissing;
-      for (size_t I : MissIndices) {
-        if (auto Cached = Cache.lookup(Keys[I])) {
-          Out[I] = *Cached;
-          ++Tally.Hits;
-          --Tally.Misses;
-        } else if (auto Known = Ledger ? Ledger->lookup(Keys[I])
-                                       : std::nullopt) {
-          // A racer measured this kernel, watched it fail and recorded
-          // the failure while we waited on the lock.
-          Out[I] = Result<Measurement>::error(Known->Detail, Known->Kind);
-          ++Tally.LedgerHits;
-          --Tally.Misses;
-        } else {
-          StillMissing.push_back(I);
-        }
-      }
-      MissIndices = std::move(StillMissing);
-    }
-  }
-
-  std::atomic<size_t> LedgerRecords{0};
-  auto MeasureOne = [&](size_t I) {
-    CLGS_TRACE_SPAN_IDX("measure", I);
-    uint32_t Attempts = 0;
-    Out[I] = runBenchmarkWithRetry(Kernels[I], P, KernelOpts[I], &Attempts);
-    if (Out[I].ok()) {
-      Cache.store(Keys[I], Out[I].get());
-    } else if (Ledger) {
-      // record() refuses non-deterministic kinds itself; count only
-      // admitted records so the tally matches the ledger's view.
-      store::FailureRecord Rec;
-      Rec.Kind = Out[I].trap();
-      Rec.Detail = Out[I].errorMessage();
-      Rec.Attempts = Attempts;
-      if (isDeterministicTrap(Rec.Kind) && Ledger->record(Keys[I], Rec).ok())
-        LedgerRecords.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  size_t N =
-      std::min(ThreadPool::resolveWorkerCount(Workers), MissIndices.size());
-  if (N <= 1 || MissIndices.size() <= 1) {
-    for (size_t I : MissIndices)
-      MeasureOne(I);
-  } else {
-    ThreadPool Pool(N);
-    Pool.parallelFor(0, MissIndices.size(),
-                     [&](size_t, size_t J) { MeasureOne(MissIndices[J]); });
-  }
-  Tally.LedgerRecords = LedgerRecords.load(std::memory_order_relaxed);
-  // The per-call tally also feeds the process-wide registry — the same
-  // numbers the runner prints, in the unified exposition.
-  CLGS_COUNT_N("clgen.measure.cache_hits", Tally.Hits);
-  CLGS_COUNT_N("clgen.measure.misses", Tally.Misses);
-  CLGS_COUNT_N("clgen.measure.ledger_hits", Tally.LedgerHits);
-  CLGS_COUNT_N("clgen.measure.ledger_records", Tally.LedgerRecords);
-  if (CacheStats)
-    *CacheStats = Tally;
   return Out;
 }
 

@@ -8,8 +8,9 @@
 /// Cross-process stampede control for the artifact store. A ScopedLock
 /// is an advisory `flock(2)` exclusive lock on a dedicated lock file;
 /// it serializes the *expensive miss path* of the warm-start layers
-/// (trainOrLoad, synthesizeOrLoad, the cached runBenchmarkBatch) so
-/// that N concurrent cold runs of one configuration do the training /
+/// (trainOrLoad under `train`; synthesizeOrLoad and
+/// synthesizeAndMeasureOrLoad under `synthesis`) so that N concurrent
+/// cold runs of one configuration do the training / sampling and
 /// measurement work exactly once instead of N times.
 ///
 /// Protocol (documented normatively in docs/STORE_FORMAT.md §6):

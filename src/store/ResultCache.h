@@ -17,7 +17,8 @@
 /// full serialized bytecode (tag 'B') — the two tags form disjoint key
 /// spaces. Because the simulator is deterministic, equal keys imply
 /// equal measurements, so a hit can skip execution entirely; see
-/// runtime::runBenchmarkBatch for the integrated fast path.
+/// core::synthesizeAndMeasure and core::measureKernels for the
+/// integrated fast path.
 ///
 /// On disk the cache is a flat directory of archive files named
 /// <hex key>.clgs, written atomically (temp + rename), so concurrent

@@ -1047,7 +1047,7 @@ public:
     if (CLGS_FAILPOINT("vm.launch"))
       return Result<ExecCounters>::error("injected fault at vm.launch",
                                          TrapKind::Injected);
-    CLGS_FAILPOINT_STALL("vm.stall", 0);
+    (void)CLGS_FAILPOINT_STALL("vm.stall", 0);
     // Malformed or corrupted bytecode (out-of-range Aux operands, bad
     // widths, wild jump targets) classifies as BadLaunch here, in every
     // dispatch mode, instead of hitting an unhandled enum cast
@@ -1184,16 +1184,6 @@ const char *vm::dispatchModeName(DispatchMode Mode) {
   case DispatchMode::Threaded: return "threaded";
   }
   return "?";
-}
-
-std::optional<DispatchMode> vm::parseDispatchMode(const std::string &Name) {
-  if (Name == "auto")
-    return DispatchMode::Auto;
-  if (Name == "switch")
-    return DispatchMode::Switch;
-  if (Name == "threaded")
-    return DispatchMode::Threaded;
-  return std::nullopt;
 }
 
 Result<ExecCounters> vm::launchKernel(const CompiledKernel &Kernel,

@@ -26,7 +26,6 @@
 #include "vm/Bytecode.h"
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,9 +63,6 @@ bool threadedDispatchAvailable();
 
 /// Stable lowercase name ("auto", "switch", "threaded").
 const char *dispatchModeName(DispatchMode Mode);
-
-/// Parses a dispatchModeName() string; nullopt on anything else.
-std::optional<DispatchMode> parseDispatchMode(const std::string &Name);
 
 /// A flat numeric buffer bound to a global buffer parameter.
 struct BufferData {

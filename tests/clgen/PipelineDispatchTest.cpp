@@ -62,6 +62,9 @@ measurementBytes(const std::vector<Result<runtime::Measurement>> &Ms) {
 }
 
 struct Workload {
+  /// The synthesized set, for the cached engine (measureKernels), and
+  /// its bytecode alone, for the uncached runBenchmarkBatch.
+  SynthesisResult Set;
   std::vector<vm::CompiledKernel> Kernels;
   runtime::DriverOptions Driver;
   runtime::Platform P = runtime::amdPlatform();
@@ -77,10 +80,9 @@ Workload makeWorkload() {
   SynthesisOptions SOpts;
   SOpts.TargetKernels = 4;
   SOpts.MaxAttempts = 6000;
-  SynthesisResult SR = Pipeline.synthesize(SOpts);
-
   Workload W;
-  for (auto &K : SR.Kernels)
+  W.Set = Pipeline.synthesize(SOpts);
+  for (auto &K : W.Set.Kernels)
     W.Kernels.push_back(K.Kernel);
   EXPECT_GT(W.Kernels.size(), 0u);
   W.Driver.GlobalSize = 2048;
@@ -116,15 +118,16 @@ TEST(PipelineDispatchTest, DispatchExcludedFromCacheKey) {
 
   // Cold cache under switch dispatch: everything misses and the store
   // comes out populated.
-  W.Driver.Dispatch = vm::DispatchMode::Switch;
+  StreamingOptions Opts;
+  Opts.Driver = W.Driver;
+  Opts.Driver.Dispatch = vm::DispatchMode::Switch;
   store::ResultCache Cold(Dir.str());
-  runtime::BatchCacheStats ColdStats;
-  auto ColdOut =
-      runtime::runBenchmarkBatch(W.Kernels, W.P, W.Driver, 1, Cold, &ColdStats);
-  auto RefBytes = measurementBytes(ColdOut);
-  EXPECT_EQ(ColdStats.Hits, 0u);
+  Opts.Cache = &Cold;
+  StreamingResult ColdOut = measureKernels(W.Set, W.P, Opts);
+  auto RefBytes = measurementBytes(ColdOut.Measurements);
+  EXPECT_EQ(ColdOut.CacheStats.Hits, 0u);
   size_t Successes = 0;
-  for (const auto &M : ColdOut)
+  for (const auto &M : ColdOut.Measurements)
     Successes += M.ok() ? 1 : 0;
   EXPECT_GT(Successes, 0u);
 
@@ -133,14 +136,14 @@ TEST(PipelineDispatchTest, DispatchExcludedFromCacheKey) {
   // measurement cached under switch must be served verbatim — and the
   // output must still be byte-identical, which is only sound because
   // the modes measure identically in the first place.
-  W.Driver.Dispatch = vm::DispatchMode::Threaded;
+  Opts.Driver.Dispatch = vm::DispatchMode::Threaded;
+  Opts.MeasureWorkers = 2;
   store::ResultCache Warm(Dir.str());
-  runtime::BatchCacheStats WarmStats;
-  auto WarmOut =
-      runtime::runBenchmarkBatch(W.Kernels, W.P, W.Driver, 2, Warm, &WarmStats);
-  EXPECT_EQ(WarmStats.Hits, Successes)
+  Opts.Cache = &Warm;
+  StreamingResult WarmOut = measureKernels(W.Set, W.P, Opts);
+  EXPECT_EQ(WarmOut.CacheStats.Hits, Successes)
       << "a dispatch-mode change must not invalidate cached measurements";
-  EXPECT_EQ(measurementBytes(WarmOut), RefBytes);
+  EXPECT_EQ(measurementBytes(WarmOut.Measurements), RefBytes);
 }
 
 TEST(PipelineDispatchTest, StreamingPipelineHonorsDispatch) {

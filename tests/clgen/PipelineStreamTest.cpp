@@ -80,7 +80,7 @@ struct Workload {
   SynthesisOptions Synthesis;
   runtime::DriverOptions Driver;
   runtime::Platform P = runtime::amdPlatform();
-  /// The phased reference this PR's engine must reproduce byte for
+  /// The phased reference the streaming engine must reproduce byte for
   /// byte: full synthesis, then a batched measurement pass.
   std::vector<SynthesizedKernel> RefKernels;
   SynthesisStats RefStats;
@@ -194,16 +194,15 @@ TEST(PipelineStreamTest, GoldenWithColdAndPrewarmedCache) {
   EXPECT_EQ(Warm.CacheStats.Misses, W.RefKernels.size() - Successes)
       << "only uncached (failed-last-time) kernels may reach a slot";
 
-  // And the phased cached batch agrees with the streaming cache hits,
-  // closing the loop between the two engines sharing one store.
-  std::vector<vm::CompiledKernel> Kernels;
-  for (auto &K : W.RefKernels)
-    Kernels.push_back(K.Kernel);
-  runtime::BatchCacheStats Phased;
-  auto PhasedOut =
-      runtime::runBenchmarkBatch(Kernels, W.P, W.Driver, 2, Warmed, &Phased);
-  EXPECT_EQ(Phased.Hits, Successes);
-  EXPECT_EQ(resultBytes(W.RefKernels, W.RefStats, PhasedOut), W.RefBytes);
+  // And the fixed-set producer, fed the phased reference's kernels,
+  // reads the same hits off the streaming-warmed cache and returns the
+  // same bytes: both producers share one store.
+  SynthesisResult Set;
+  Set.Kernels = W.RefKernels;
+  Set.Stats = W.RefStats;
+  auto Fixed = measureKernels(Set, W.P, Opts);
+  EXPECT_EQ(Fixed.CacheStats.Hits, Successes);
+  expectMatchesReference(W, Fixed, "fixed set over the warmed cache");
 }
 
 TEST(PipelineStreamTest, TargetShortfallTrimsResultSlots) {

@@ -1,7 +1,13 @@
 //===- tests/runtime/HostDriverBatchTest.cpp - batched driver tests ----------===//
+//
+// The uncached runBenchmarkBatch (the phased reference), and the cached
+// measurement of a fixed kernel set (core::measureKernels) against it.
+//
+//===----------------------------------------------------------------------===//
 
 #include "runtime/HostDriver.h"
 
+#include "clgen/Pipeline.h"
 #include "store/ResultCache.h"
 #include "vm/Compiler.h"
 
@@ -79,29 +85,40 @@ TEST(HostDriverBatchTest, CachedBatchMatchesUncachedAndHitsOnRerun) {
   auto P = amdPlatform();
   auto Uncached = runBenchmarkBatch(Kernels, P, Opts, 2);
 
+  core::SynthesisResult Set;
+  for (const vm::CompiledKernel &K : Kernels)
+    Set.Kernels.push_back({"", K});
+  core::StreamingOptions SOpts;
+  SOpts.Driver = Opts;
+  SOpts.MeasureWorkers = 2;
   store::ResultCache Cache(Dir);
-  BatchCacheStats Cold, Warm;
-  auto First = runBenchmarkBatch(Kernels, P, Opts, 2, Cache, &Cold);
-  EXPECT_EQ(Cold.Hits, 0u);
-  EXPECT_EQ(Cold.Misses, Kernels.size());
+  SOpts.Cache = &Cache;
+  auto First = core::measureKernels(Set, P, SOpts);
+  EXPECT_EQ(First.CacheStats.Hits, 0u);
+  EXPECT_EQ(First.CacheStats.Misses, Kernels.size());
   // Warm rerun across worker counts and a fresh cache instance (disk
   // path): everything hits and nothing re-executes.
   store::ResultCache Reopened(Dir);
-  auto Second = runBenchmarkBatch(Kernels, P, Opts, 4, Reopened, &Warm);
-  EXPECT_EQ(Warm.Hits, Kernels.size());
-  EXPECT_EQ(Warm.Misses, 0u);
+  SOpts.Cache = &Reopened;
+  SOpts.MeasureWorkers = 4;
+  auto Second = core::measureKernels(Set, P, SOpts);
+  EXPECT_EQ(Second.CacheStats.Hits, Kernels.size());
+  EXPECT_EQ(Second.CacheStats.Misses, 0u);
 
-  ASSERT_EQ(First.size(), Uncached.size());
+  ASSERT_EQ(First.Measurements.size(), Uncached.size());
+  ASSERT_EQ(Second.Measurements.size(), Uncached.size());
   for (size_t I = 0; I < Uncached.size(); ++I) {
+    const auto &Cold = First.Measurements[I];
+    const auto &Warm = Second.Measurements[I];
     ASSERT_TRUE(Uncached[I].ok());
-    ASSERT_TRUE(First[I].ok());
-    ASSERT_TRUE(Second[I].ok());
-    EXPECT_EQ(First[I].get().Counters.Instructions,
+    ASSERT_TRUE(Cold.ok());
+    ASSERT_TRUE(Warm.ok());
+    EXPECT_EQ(Cold.get().Counters.Instructions,
               Uncached[I].get().Counters.Instructions);
-    EXPECT_EQ(First[I].get().CpuTime, Uncached[I].get().CpuTime);
-    EXPECT_EQ(Second[I].get().CpuTime, Uncached[I].get().CpuTime);
-    EXPECT_EQ(Second[I].get().GpuTime, Uncached[I].get().GpuTime);
-    EXPECT_EQ(Second[I].get().Counters.Instructions,
+    EXPECT_EQ(Cold.get().CpuTime, Uncached[I].get().CpuTime);
+    EXPECT_EQ(Warm.get().CpuTime, Uncached[I].get().CpuTime);
+    EXPECT_EQ(Warm.get().GpuTime, Uncached[I].get().GpuTime);
+    EXPECT_EQ(Warm.get().Counters.Instructions,
               Uncached[I].get().Counters.Instructions);
   }
   std::filesystem::remove_all(Dir);

@@ -3,14 +3,15 @@
 // The persistent failure ledger (store/FailureLedger.h): record/lookup
 // round-trips, the deterministic-kinds-only admission policy, corrupt
 // entries degrading to misses, the byte-stable CLI listing, and the
-// cached-batch integration — a second run over known-bad kernels must
-// skip measurement and replay the recorded diagnostics byte-identically.
+// measurement-engine integration (core::measureKernels) — a second run
+// over known-bad kernels must skip measurement and replay the recorded
+// diagnostics byte-identically.
 //
 //===----------------------------------------------------------------------===//
 
 #include "store/FailureLedger.h"
 
-#include "runtime/HostDriver.h"
+#include "clgen/Pipeline.h"
 #include "store/ResultCache.h"
 #include "support/Trap.h"
 #include "vm/Compiler.h"
@@ -177,7 +178,7 @@ TEST(FailureLedgerTest, ListAndFormatAreByteStable) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cached-batch integration
+// Measurement-engine integration
 //===----------------------------------------------------------------------===//
 
 vm::CompiledKernel compile(const std::string &Source) {
@@ -189,28 +190,37 @@ vm::CompiledKernel compile(const std::string &Source) {
 TEST(FailureLedgerTest, BatchRecordsAndReplaysFailures) {
   ScratchDir Dir("batch");
   // One good kernel, one that always traps out-of-bounds.
-  std::vector<vm::CompiledKernel> Kernels;
-  Kernels.push_back(
-      compile("__kernel void ok(__global float* a, const int n) {\n"
-              "  int i = get_global_id(0);\n"
-              "  if (i < n) { a[i] = a[i] * 2.0f; }\n"
-              "}\n"));
-  Kernels.push_back(
-      compile("__kernel void oob(__global float* a, const int n) {\n"
-              "  a[get_global_id(0) + n] = 1.0f;\n"
-              "}\n"));
+  core::SynthesisResult Kernels;
+  Kernels.Kernels.push_back(
+      {"", compile("__kernel void ok(__global float* a, const int n) {\n"
+                   "  int i = get_global_id(0);\n"
+                   "  if (i < n) { a[i] = a[i] * 2.0f; }\n"
+                   "}\n")});
+  Kernels.Kernels.push_back(
+      {"", compile("__kernel void oob(__global float* a, const int n) {\n"
+                   "  a[get_global_id(0) + n] = 1.0f;\n"
+                   "}\n")});
 
-  runtime::DriverOptions Opts;
-  Opts.GlobalSize = 512;
+  core::StreamingOptions Opts;
+  Opts.Driver.GlobalSize = 512;
   runtime::Platform P = runtime::amdPlatform();
+  // One run of the engine over the store in Dir: fresh cache and
+  // ledger objects each time, so every hit comes from disk.
+  size_t NegativeHits = 0; // The last run's ledger-side tally.
+  auto Measure = [&](runtime::BatchCacheStats &Stats, bool WithLedger) {
+    ResultCache Cache(Dir.str() + "/results");
+    FailureLedger Ledger(Dir.str() + "/failures");
+    Opts.Cache = &Cache;
+    Opts.Ledger = WithLedger ? &Ledger : nullptr;
+    core::StreamingResult Out = core::measureKernels(Kernels, P, Opts);
+    Stats = Out.CacheStats;
+    NegativeHits = Ledger.stats().NegativeHits;
+    return std::move(Out.Measurements);
+  };
 
   // Run 1: cold — the failure is measured and recorded.
-  ResultCache Cache1(Dir.str() + "/results");
-  FailureLedger Ledger1(Dir.str() + "/failures");
   runtime::BatchCacheStats Stats1;
-  auto Run1 =
-      runtime::runBenchmarkBatch(Kernels, P, Opts, 1, Cache1, &Stats1,
-                                 &Ledger1);
+  auto Run1 = Measure(Stats1, true);
   ASSERT_EQ(Run1.size(), 2u);
   EXPECT_TRUE(Run1[0].ok());
   ASSERT_FALSE(Run1[1].ok());
@@ -222,12 +232,8 @@ TEST(FailureLedgerTest, BatchRecordsAndReplaysFailures) {
   // Run 2: fresh cache+ledger objects over the same directories — the
   // success is a cache hit, the failure a ledger negative hit, and the
   // replayed diagnostic is byte-identical. Nothing is measured.
-  ResultCache Cache2(Dir.str() + "/results");
-  FailureLedger Ledger2(Dir.str() + "/failures");
   runtime::BatchCacheStats Stats2;
-  auto Run2 =
-      runtime::runBenchmarkBatch(Kernels, P, Opts, 1, Cache2, &Stats2,
-                                 &Ledger2);
+  auto Run2 = Measure(Stats2, true);
   ASSERT_EQ(Run2.size(), 2u);
   EXPECT_TRUE(Run2[0].ok());
   ASSERT_FALSE(Run2[1].ok());
@@ -237,13 +243,11 @@ TEST(FailureLedgerTest, BatchRecordsAndReplaysFailures) {
   EXPECT_EQ(Stats2.LedgerHits, 1u);
   EXPECT_EQ(Stats2.Misses, 0u);
   EXPECT_EQ(Stats2.LedgerRecords, 0u);
-  EXPECT_EQ(Ledger2.stats().NegativeHits, 1u);
+  EXPECT_EQ(NegativeHits, 1u);
 
   // Without a ledger the failure is simply re-measured (same result).
-  ResultCache Cache3(Dir.str() + "/results");
   runtime::BatchCacheStats Stats3;
-  auto Run3 = runtime::runBenchmarkBatch(Kernels, P, Opts, 1, Cache3,
-                                         &Stats3);
+  auto Run3 = Measure(Stats3, false);
   ASSERT_FALSE(Run3[1].ok());
   EXPECT_EQ(Run3[1].errorMessage(), Run1[1].errorMessage());
   EXPECT_EQ(Stats3.Misses, 1u);

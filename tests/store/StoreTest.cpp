@@ -606,9 +606,10 @@ TEST(ResultCacheTest, CoarseMtimeRewriteIsCaughtByTrailerChecksum) {
 #endif // !_WIN32
 
 TEST(ResultCacheTest, ConcurrentHitsAreConsistentAndAllCounted) {
-  // The in-process map is probed concurrently by pool workers (cached
-  // runBenchmarkBatch) and by the streaming pipeline's enqueue-time
-  // probe; under the shared_mutex guard every concurrent hit must see a
+  // The in-process map is probed concurrently by the enqueue-time
+  // probes of streaming runs that share one cache (the daemon's
+  // concurrent flights) while their consumers write back; under the
+  // shared_mutex guard every concurrent hit must see a
   // complete entry and every lookup must be tallied. Run against a
   // fresh instance too, so first-touch disk loads (map inserts) race
   // with resident-entry reads.

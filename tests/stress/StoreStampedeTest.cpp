@@ -18,10 +18,10 @@
 
 #include "clgen/Pipeline.h"
 #include "githubsim/GithubSim.h"
-#include "runtime/HostDriver.h"
+#include "store/FailureLedger.h"
 #include "store/Lock.h"
 #include "store/ResultCache.h"
-#include "vm/Compiler.h"
+#include "store/Serialization.h"
 
 #include <gtest/gtest.h>
 
@@ -104,16 +104,24 @@ private:
   bool Open = false;
 };
 
-vm::CompiledKernel compileSample(const std::string &Body) {
-  std::string Src = "__kernel void k(__global float* a, const int n) {\n"
-                    "  int i = get_global_id(0);\n"
-                    "  if (i < n) { " +
-                    Body +
-                    " }\n"
-                    "}\n";
-  auto K = vm::compileFirstKernel(Src);
-  EXPECT_TRUE(K.ok()) << K.errorMessage();
-  return K.take();
+/// Canonical byte image of a streaming outcome (kernel sources and
+/// bytecode, then measurements); equal bytes mean the same result.
+std::vector<uint8_t> resultBytes(const core::StreamingResult &Out) {
+  ArchiveWriter W(ArchiveKind::Synthesis);
+  W.writeU64(Out.Kernels.size());
+  for (const core::SynthesizedKernel &K : Out.Kernels) {
+    W.writeString(K.Source);
+    serializeCompiledKernel(W, K.Kernel);
+  }
+  W.writeU64(Out.Measurements.size());
+  for (const auto &M : Out.Measurements) {
+    W.writeBool(M.ok());
+    if (M.ok())
+      serializeMeasurement(W, M.get());
+    else
+      W.writeString(M.errorMessage());
+  }
+  return W.finalize();
 }
 
 } // namespace
@@ -200,52 +208,76 @@ TEST(StoreStampedeTest, ThreadColdStampedeSynthesizesExactlyOnce) {
         << "loaded kernel sets must be byte-identical to the sampled one";
 }
 
-TEST(StoreStampedeTest, ThreadColdStampedeCachedBatchMeasuresEachKernelOnce) {
-  ScratchDir Dir("batch_threads");
-  std::vector<vm::CompiledKernel> Kernels;
-  const char *Bodies[] = {"a[i] = a[i] * 2.0f;", "a[i] = a[i] + 7.0f;",
-                          "a[i] = a[i] * a[i];", "a[i] = -a[i];",
-                          "a[i] = a[i] - 3.0f;", "a[i] = a[i] * 0.5f;"};
-  for (const char *Body : Bodies)
-    Kernels.push_back(compileSample(Body));
-  runtime::DriverOptions DOpts;
-  DOpts.GlobalSize = 4096;
+TEST(StoreStampedeTest, ThreadColdStampedeStreamingMeasuresEachKernelOnce) {
+  ScratchDir Dir("stream_threads");
+  auto Files = smallWorkload();
+  auto Opts = smallPipelineOptions();
+  constexpr size_t Racers = 4;
+
+  // One identically-trained pipeline per racer, plus one for the solo
+  // reference (identical models give identical kernel-set keys).
+  std::vector<core::ClgenPipeline> Pipelines;
+  for (size_t T = 0; T <= Racers; ++T)
+    Pipelines.push_back(core::ClgenPipeline::train(Files, Opts));
+
+  core::StreamingOptions SOpts;
+  SOpts.Synthesis.TargetKernels = 6;
+  SOpts.Synthesis.MaxAttempts = 6000;
+  SOpts.Synthesis.Workers = 1;
+  SOpts.Driver.GlobalSize = 4096;
   auto Platform = runtime::amdPlatform();
 
-  // Reference: uncached, deterministic.
-  auto Reference = runtime::runBenchmarkBatch(Kernels, Platform, DOpts, 1);
+  // Reference: a solo run with no store at all.
+  core::StreamingResult Reference =
+      Pipelines[Racers].synthesizeAndMeasure(Platform, SOpts);
+  const size_t Accepted = Reference.Kernels.size();
+  ASSERT_EQ(Accepted, SOpts.Synthesis.TargetKernels);
+  size_t Failures = 0;
+  for (const auto &M : Reference.Measurements)
+    Failures += M.ok() ? 0 : 1;
+  // Both serving paths must be exercised: result-cache hits for the
+  // successes, ledger hits for the failures.
+  ASSERT_GT(Failures, 0u);
+  ASSERT_LT(Failures, Accepted);
+  const std::vector<uint8_t> RefBytes = resultBytes(Reference);
 
-  constexpr size_t Racers = 4;
   StartGate Gate;
-  std::atomic<size_t> TotalMisses{0}, TotalHits{0}, Mismatches{0};
+  std::atomic<size_t> TotalMisses{0}, TotalServed{0}, Mismatches{0},
+      Sampled{0};
   std::vector<std::thread> Threads;
   for (size_t T = 0; T < Racers; ++T)
-    Threads.emplace_back([&] {
-      // Each racer gets its own cache INSTANCE over the shared
-      // directory — the in-memory fronts are independent, exactly like
-      // separate processes sharing one store.
-      store::ResultCache Cache(Dir.str());
-      runtime::BatchCacheStats Stats;
+    Threads.emplace_back([&, T] {
+      // Each racer gets its own cache and ledger INSTANCES over the
+      // shared store — the in-memory fronts are independent, exactly
+      // like separate processes sharing one store.
+      store::ResultCache Cache(Dir.str() + "/results");
+      store::FailureLedger Ledger(Dir.str() + "/failures");
+      core::StreamingOptions Mine = SOpts;
+      Mine.Cache = &Cache;
+      Mine.Ledger = &Ledger;
       Gate.waitAt(Racers);
-      auto Out = runtime::runBenchmarkBatch(Kernels, Platform, DOpts, 1,
-                                            Cache, &Stats);
-      TotalMisses.fetch_add(Stats.Misses);
-      TotalHits.fetch_add(Stats.Hits);
-      for (size_t I = 0; I < Out.size(); ++I) {
-        if (!Out[I].ok() || !Reference[I].ok() ||
-            Out[I].get().CpuTime != Reference[I].get().CpuTime ||
-            Out[I].get().Counters.Instructions !=
-                Reference[I].get().Counters.Instructions)
-          Mismatches.fetch_add(1);
-      }
+      core::StreamingWarmInfo Info;
+      core::StreamingResult Out = Pipelines[T].synthesizeAndMeasureOrLoad(
+          Dir.str(), Platform, Mine, &Info);
+      Sampled.fetch_add(Info.Warm ? 0 : 1);
+      TotalMisses.fetch_add(Out.CacheStats.Misses);
+      TotalServed.fetch_add(Out.CacheStats.Hits + Out.CacheStats.LedgerHits);
+      if (resultBytes(Out) != RefBytes)
+        Mismatches.fetch_add(1);
     });
   for (auto &T : Threads)
     T.join();
 
-  EXPECT_EQ(Mismatches.load(), 0u);
-  EXPECT_EQ(TotalMisses.load(), Kernels.size())
+  // The winner holds the "synthesis" lock through its cold sample +
+  // measure, the ledger sweep and the kernel-set save; every racer that
+  // waited re-probes, loads the set and is served from the result
+  // cache (successes) or the ledger (deterministic failures).
+  EXPECT_EQ(Mismatches.load(), 0u)
+      << "every racer must return the solo reference's bytes";
+  EXPECT_EQ(Sampled.load(), 1u) << "exactly one racer may sample";
+  EXPECT_EQ(TotalMisses.load(), Accepted)
       << "each kernel must be measured exactly once across all racers";
-  EXPECT_EQ(TotalHits.load(), Kernels.size() * (Racers - 1));
+  EXPECT_EQ(TotalServed.load(), Accepted * (Racers - 1));
 }
 
 //===----------------------------------------------------------------------===//
