@@ -371,19 +371,61 @@ std::optional<SynthesisResult> loadSynthesisArtifact(const std::string &Path) {
 /// Persists a kernel-set artifact. Best-effort: a failed write just
 /// stays cold.
 void saveSynthesisArtifact(const std::string &Path,
-                           const SynthesisResult &Out) {
+                           const SynthesisStats &Stats,
+                           const std::vector<SynthesizedKernel> &Kernels) {
   store::ArchiveWriter W(store::ArchiveKind::Synthesis);
-  W.writeU64(Out.Stats.Attempts);
-  W.writeU64(Out.Stats.IncompleteSamples);
-  W.writeU64(Out.Stats.RejectedByFilter);
-  W.writeU64(Out.Stats.Duplicates);
-  W.writeU64(Out.Stats.Accepted);
-  W.writeU64(Out.Kernels.size());
-  for (const SynthesizedKernel &K : Out.Kernels) {
+  W.writeU64(Stats.Attempts);
+  W.writeU64(Stats.IncompleteSamples);
+  W.writeU64(Stats.RejectedByFilter);
+  W.writeU64(Stats.Duplicates);
+  W.writeU64(Stats.Accepted);
+  W.writeU64(Kernels.size());
+  for (const SynthesizedKernel &K : Kernels) {
     W.writeString(K.Source);
     store::serializeCompiledKernel(W, K.Kernel);
   }
   (void)W.saveTo(Path);
+}
+
+/// The kernel-set store protocol of synthesizeOrLoad and
+/// synthesizeAndMeasureOrLoad. Without a key digest (unserializable
+/// model) it just runs \p Cold. Otherwise it sets \p Path to the
+/// artifact of \p KeyDigest and probes it lock-free, so warm stores
+/// never touch a lock file. On a miss it takes the per-key "synthesis"
+/// lock, probes again, and runs \p Cold, whose kernel set is saved
+/// before the lock is released. A stored kernel set goes to \p Warm
+/// instead. One lock key covers both entry points, so a streaming
+/// request and a plain synthesizeOrLoad of one configuration
+/// cold-sample exactly once between them.
+template <typename WarmFn, typename ColdFn>
+auto loadOrSynthesize(const std::string &CacheDir,
+                      std::optional<uint64_t> KeyDigest, std::string &Path,
+                      WarmFn Warm, ColdFn Cold) -> decltype(Cold()) {
+  if (!KeyDigest)
+    return Cold();
+  std::error_code Ec;
+  std::filesystem::create_directories(CacheDir, Ec);
+  Path = CacheDir + "/synthesis-" + store::hexDigest(*KeyDigest) + ".clgs";
+  if (auto Hit = loadSynthesisArtifact(Path))
+    return Warm(std::move(*Hit));
+
+  // tryAcquire first: uncontended misses skip the poll loop; actual
+  // racers wait. Every holder re-probes before working, even when the
+  // lock was uncontended (a racer may have published and released since
+  // the first probe); holders publish before releasing, so exactly-once
+  // is strict rather than probabilistic. A lock failure or timeout
+  // degrades to duplicated work, never an error: every writer publishes
+  // via atomic rename.
+  store::ScopedLock Lock = store::ScopedLock::acquireForMiss(
+      store::lockFilePath(CacheDir, "synthesis", *KeyDigest));
+  if (Lock.held()) {
+    if (auto Hit = loadSynthesisArtifact(Path))
+      return Warm(std::move(*Hit));
+  }
+
+  auto Out = Cold();
+  saveSynthesisArtifact(Path, Out.Stats, Out.Kernels);
+  return Out;
 }
 
 } // namespace
@@ -426,46 +468,15 @@ ClgenPipeline::synthesizeOrLoad(const std::string &CacheDir,
                                 bool *Loaded) {
   if (Loaded)
     *Loaded = false;
-
-  std::optional<uint64_t> KeyDigest = synthesisKeyDigest(Opts);
-  if (!KeyDigest)
-    return synthesize(Opts); // Unserializable model: nothing to key on.
-
-  std::error_code Ec;
-  std::filesystem::create_directories(CacheDir, Ec);
-  std::string Path =
-      CacheDir + "/synthesis-" + store::hexDigest(*KeyDigest) + ".clgs";
-
-  // Lock-free fast path: warm stores never touch a lock file.
-  if (auto Hit = loadSynthesisArtifact(Path)) {
-    if (Loaded)
-      *Loaded = true;
-    return *Hit;
-  }
-
-  // Cold miss: serialize concurrent cold runs of this configuration so
-  // the sampling work happens once. tryAcquire first — uncontended
-  // misses skip the poll loop; actual racers wait, then every holder
-  // re-probes (double-checked locking) before working. A lock failure
-  // or timeout degrades to duplicated work, never an error: every
-  // writer publishes via atomic rename.
-  store::ScopedLock Lock = store::ScopedLock::acquireForMiss(
-      store::lockFilePath(CacheDir, "synthesis", *KeyDigest));
-  if (Lock.held()) {
-    // Re-probe under the lock even when it was uncontended (a racer
-    // may have published and released since the fast-path probe);
-    // holders publish before releasing, so this makes exactly-once
-    // strict rather than probabilistic.
-    if (auto Hit = loadSynthesisArtifact(Path)) {
-      if (Loaded)
-        *Loaded = true;
-      return *Hit;
-    }
-  }
-
-  SynthesisResult Out = synthesize(Opts);
-  saveSynthesisArtifact(Path, Out);
-  return Out;
+  std::string Path;
+  return loadOrSynthesize(
+      CacheDir, synthesisKeyDigest(Opts), Path,
+      [&](SynthesisResult Hit) {
+        if (Loaded)
+          *Loaded = true;
+        return Hit;
+      },
+      [&] { return synthesize(Opts); });
 }
 
 StreamingResult ClgenPipeline::synthesizeAndMeasureOrLoad(
@@ -482,41 +493,17 @@ StreamingResult ClgenPipeline::synthesizeAndMeasureOrLoad(
     return synthesizeAndMeasure(P, Opts);
 
   std::optional<uint64_t> KeyDigest = synthesisKeyDigest(Opts.Synthesis);
-  if (!KeyDigest)
-    return synthesizeAndMeasure(P, Opts);
-  I.KeyDigest = *KeyDigest;
-
-  std::error_code Ec;
-  std::filesystem::create_directories(CacheDir, Ec);
-  I.ArtifactPath =
-      CacheDir + "/synthesis-" + store::hexDigest(*KeyDigest) + ".clgs";
-
-  // Lock-free fast path, then the same double-checked "synthesis" lock
-  // as synthesizeOrLoad — one advisory key covers both entry points, so
-  // a streaming request and a plain synthesizeOrLoad of the same
-  // configuration cold-sample exactly once between them.
-  auto MeasureWarm = [&](SynthesisResult Loaded) {
-    I.Warm = true;
-    I.LoadedKernels = Loaded.Kernels.size();
-    CLGS_COUNT("clgen.stream.warm_starts");
-    return measureKernels(std::move(Loaded), P, Opts);
-  };
-  if (auto Hit = loadSynthesisArtifact(I.ArtifactPath))
-    return MeasureWarm(std::move(*Hit));
-
-  store::ScopedLock Lock = store::ScopedLock::acquireForMiss(
-      store::lockFilePath(CacheDir, "synthesis", *KeyDigest));
-  if (Lock.held()) {
-    if (auto Hit = loadSynthesisArtifact(I.ArtifactPath))
-      return MeasureWarm(std::move(*Hit));
-  }
-
-  StreamingResult Out = synthesizeAndMeasure(P, Opts);
-  SynthesisResult Artifact;
-  Artifact.Stats = Out.Stats;
-  Artifact.Kernels = Out.Kernels;
-  saveSynthesisArtifact(I.ArtifactPath, Artifact);
-  I.Persisted = true;
+  I.KeyDigest = KeyDigest.value_or(0);
+  StreamingResult Out = loadOrSynthesize(
+      CacheDir, KeyDigest, I.ArtifactPath,
+      [&](SynthesisResult Loaded) {
+        I.Warm = true;
+        I.LoadedKernels = Loaded.Kernels.size();
+        CLGS_COUNT("clgen.stream.warm_starts");
+        return measureKernels(std::move(Loaded), P, Opts);
+      },
+      [&] { return synthesizeAndMeasure(P, Opts); });
+  I.Persisted = KeyDigest && !I.Warm;
   return Out;
 }
 

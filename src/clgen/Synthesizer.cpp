@@ -34,6 +34,8 @@ namespace {
 struct Candidate {
   enum class Status { Incomplete, Rejected, Complete };
   Status S = Status::Incomplete;
+  /// Why the filter rejected the sample (Rejected only).
+  corpus::RejectionReason Reason = corpus::RejectionReason::None;
   std::string Normalised;
   vm::CompiledKernel Kernel;
 };
@@ -53,6 +55,7 @@ Candidate produceCandidate(model::TokenSampler &Sampler,
   corpus::FilterResult FR = corpus::filterContentFile(*Sample, FilterOpts);
   if (!FR.Accepted) {
     C.S = Candidate::Status::Rejected;
+    C.Reason = FR.Reason;
     return C;
   }
   // Normalise (the sample is near-normal already, but renaming +
@@ -63,6 +66,32 @@ Candidate produceCandidate(model::TokenSampler &Sampler,
   C.Kernel = std::move(FR.Kernels.front());
   C.S = Candidate::Status::Complete;
   return C;
+}
+
+/// Counts a filter rejection as clgen.synthesis.rejected.<reason>.
+void countRejection(corpus::RejectionReason Reason) {
+  switch (Reason) {
+  case corpus::RejectionReason::None:
+    break;
+  case corpus::RejectionReason::Preprocessor:
+    CLGS_COUNT("clgen.synthesis.rejected.preprocessor");
+    break;
+  case corpus::RejectionReason::Syntax:
+    CLGS_COUNT("clgen.synthesis.rejected.syntax");
+    break;
+  case corpus::RejectionReason::Semantic:
+    CLGS_COUNT("clgen.synthesis.rejected.semantic");
+    break;
+  case corpus::RejectionReason::Lowering:
+    CLGS_COUNT("clgen.synthesis.rejected.lowering");
+    break;
+  case corpus::RejectionReason::NoKernel:
+    CLGS_COUNT("clgen.synthesis.rejected.no_kernel");
+    break;
+  case corpus::RejectionReason::TooFewInstructions:
+    CLGS_COUNT("clgen.synthesis.rejected.too_few_instructions");
+    break;
+  }
 }
 
 } // namespace
@@ -129,6 +158,7 @@ struct SynthesisEngine::Impl {
     case Candidate::Status::Rejected:
       ++Stats.RejectedByFilter;
       CLGS_COUNT("clgen.synthesis.rejected");
+      countRejection(C.Reason);
       return true;
     case Candidate::Status::Complete:
       break;

@@ -85,14 +85,20 @@ CumulativeTable model::appendCumulativeTable(const std::vector<double> &Dist,
   if (Dist.empty() || T.Sum <= 0.0 || !std::isfinite(T.Sum))
     return T;
   double Running = 0.0;
+  double Widest = -1.0;
   for (size_t I = 0; I < Dist.size(); ++I) {
     double P = Dist[I];
     if (P <= 0.0)
       continue;
+    double Before = Running;
     Running += Weight(P);
     T.Last = static_cast<int>(I);
     if (std::isnan(Running))
       continue;
+    if (Running - Before > Widest) {
+      Widest = Running - Before;
+      T.Widest = static_cast<uint32_t>(Sums.size() - T.Offset);
+    }
     Sums.push_back(Running);
     Ids.push_back(static_cast<uint8_t>(I));
   }
@@ -107,6 +113,9 @@ int model::drawFromTable(const CumulativeTable &T, const double *Sums,
     return Vocabulary::EndOfText; // Also covers drawToken's empty Dist.
   const double *Begin = Sums + T.Offset;
   const double *End = Begin + T.Size;
+  uint32_t W = T.Widest;
+  if (W < T.Size && Target < Begin[W] && (W == 0 || Begin[W - 1] <= Target))
+    return Ids[T.Offset + W];
   const double *It = std::upper_bound(Begin, End, Target);
   return It == End ? T.Last : Ids[T.Offset + (It - Begin)];
 }

@@ -56,6 +56,10 @@ struct CumulativeTable {
   /// (Target < Running) is std::upper_bound over the slice.
   uint32_t Offset = 0;
   uint32_t Size = 0;
+  /// The slot (within the slice) whose interval between running sums is
+  /// widest, the first of equals: the likeliest crossing, which
+  /// drawFromTable tests before it searches.
+  uint32_t Widest = 0;
 };
 
 /// Builds \p Dist's table at \p Temperature, appending its sums to
@@ -66,7 +70,9 @@ CumulativeTable appendCumulativeTable(const std::vector<double> &Dist,
                                       PageVector<uint8_t> &Ids);
 
 /// Draws from a table: the token drawToken picks, with the same single
-/// R.uniform() advance.
+/// R.uniform() advance. A target inside the widest slot's interval,
+/// Sums[Widest - 1] <= Target < Sums[Widest], is that slot without a
+/// search: the sums are nondecreasing, so it is upper_bound's answer.
 int drawFromTable(const CumulativeTable &T, const double *Sums,
                   const uint8_t *Ids, Rng &R);
 

@@ -9,7 +9,7 @@
 // right-to-left suffix hashes, each pointing at an interned (id, count)
 // row. Training and deserialization fill it through a CountBuilder, so
 // the counts exist in one compact copy only. The dense path
-// (nextDistributionInto) and the memoizing sampler share one context
+// (nextDistributionInto) and the automaton sampler share one context
 // match and one distribution fill, so they cannot drift apart. Every
 // buffer that grows with the corpus or the memo is a PageVector, so
 // the process's peak resident set does not depend on which thread
@@ -38,6 +38,14 @@ constexpr uint64_t HashMul = 0x9E3779B97F4A7C15ull;
 /// so one pass over a context yields the hash of every suffix.
 uint64_t extendLeft(uint64_t H, char C) {
   return (H ^ static_cast<unsigned char>(C)) * HashMul;
+}
+
+/// The hash of a whole context, as CountTable::match computes it.
+uint64_t hashContext(std::string_view Ctx) {
+  uint64_t H = HashSeed;
+  for (size_t L = Ctx.size(); L > 0; --L)
+    H = extendLeft(H, Ctx[L - 1]);
+  return H;
 }
 
 /// Open-addressing index from 64-bit hashes to entry numbers; the
@@ -110,6 +118,7 @@ struct CountEntry {
 class NGramModel::CountTable {
 public:
   static constexpr uint32_t NoRow = ~0u;
+  static constexpr uint32_t NoContext = HashIndex::None;
 
   size_t size() const { return Contexts.size(); }
 
@@ -125,9 +134,9 @@ public:
     return Index.find(Hash, [&](uint32_t C) { return context(C) == Ctx; });
   }
 
-  /// The longest suffix of \p Full with a non-empty row, as (row,
-  /// levels skipped before it); (NoRow, 0) when there is none. This is
-  /// the backoff walk: longest context first, every suffix hashed in
+  /// The longest suffix of \p Full with a non-empty row, as (context,
+  /// levels skipped before it); (NoContext, 0) when there is none. This
+  /// is the backoff walk: longest context first, every suffix hashed in
   /// one right-to-left pass over \p Full into \p Hashes.
   std::pair<uint32_t, size_t> match(std::string_view Full,
                                     std::vector<uint64_t> &Hashes) const {
@@ -138,10 +147,26 @@ public:
       Hashes[L] = extendLeft(Hashes[L - 1], Full[N - L]);
     for (size_t Skip = 0; Skip <= N; ++Skip) {
       uint32_t C = find(Full.substr(Skip), Hashes[N - Skip]);
-      if (C != HashIndex::None && Contexts[C].Row != NoRow)
-        return {Contexts[C].Row, Skip};
+      if (C != NoContext && Contexts[C].Row != NoRow)
+        return {C, Skip};
     }
-    return {NoRow, 0};
+    return {NoContext, 0};
+  }
+
+  /// Whether every context with a row has its one-shorter prefix with a
+  /// row too. Then the longest suffix with a row grows by at most one
+  /// character per token, which the sampler's automaton relies on.
+  bool prefixClosed() const {
+    for (uint32_t C = 0; C < Contexts.size(); ++C) {
+      std::string_view Ctx = context(C);
+      if (Ctx.empty() || Contexts[C].Row == NoRow)
+        continue;
+      std::string_view Prefix = Ctx.substr(0, Ctx.size() - 1);
+      uint32_t P = find(Prefix, hashContext(Prefix));
+      if (P == NoContext || Contexts[P].Row == NoRow)
+        return false;
+    }
+    return true;
   }
 
   const CountEntry *rowBegin(uint32_t Row) const {
@@ -300,15 +325,11 @@ size_t NGramModel::contextCount() const {
 
 void NGramModel::reset() { Context.clear(); }
 
-void NGramModel::pushContext(std::string &Ctx, int TokenId) const {
-  Ctx.push_back(TokenId == Vocabulary::EndOfText ? '\0'
-                                                 : Vocab.charOf(TokenId));
-  size_t MaxLen = static_cast<size_t>(Opts.Order - 1);
-  if (Ctx.size() > MaxLen)
-    Ctx.erase(0, Ctx.size() - MaxLen);
+void NGramModel::observe(int TokenId) {
+  Context.push_back(Vocab.charOf(TokenId));
+  if (Context.size() > windowLength())
+    Context.erase(0, Context.size() - windowLength());
 }
-
-void NGramModel::observe(int TokenId) { pushContext(Context, TokenId); }
 
 std::vector<double> NGramModel::nextDistribution() {
   std::vector<double> Dist;
@@ -317,16 +338,25 @@ std::vector<double> NGramModel::nextDistribution() {
 }
 
 void NGramModel::nextDistributionInto(std::vector<double> &Dist) {
-  auto [Row, Skip] = match(Context, Hashes);
-  fillDistribution(Row, Skip, Dist);
+  auto [C, Skip] = match(Context, Hashes);
+  fillDistribution(rowOf(C), Skip, Dist);
+}
+
+size_t NGramModel::windowLength() const {
+  return static_cast<size_t>(Opts.Order - 1);
 }
 
 std::pair<uint32_t, size_t>
-NGramModel::match(const std::string &Ctx,
+NGramModel::match(std::string_view Window,
                   std::vector<uint64_t> &Scratch) const {
   if (!Counts)
-    return {CountTable::NoRow, 0};
-  return Counts->match(Ctx, Scratch);
+    return {CountTable::NoContext, 0};
+  return Counts->match(Window, Scratch);
+}
+
+uint32_t NGramModel::rowOf(uint32_t C) const {
+  return C == CountTable::NoContext ? CountTable::NoRow
+                                    : Counts->Contexts[C].Row;
 }
 
 void NGramModel::fillDistribution(uint32_t Row, size_t Skip,
@@ -363,63 +393,180 @@ std::unique_ptr<LanguageModel> NGramModel::clone() const {
 }
 
 //===----------------------------------------------------------------------===//
-// MemoSampler
+// AutomatonSampler
 //===----------------------------------------------------------------------===//
 
-/// Holds the rolling context and, per (row, backoff depth), the
-/// cumulative table drawToken would walk at the current temperature.
-/// The table is a pure function of (row, depth, temperature) over an
-/// immutable model, so building it once and drawing from it many times
-/// picks exactly the tokens the dense path picks.
-class NGramModel::MemoSampler final : public TokenSampler {
+/// Samples through a lazily built automaton over (matched context,
+/// window length) nodes. The dense path depends on the window only
+/// through them: the backoff match is the matched context, and the
+/// backoff depth is the window length minus its length. Because the
+/// count table is prefix-closed, the match grows by at most one
+/// character per token, so the next node's match is the longest suffix
+/// of (matched context + token) that fits the window and has a row.
+/// Each node memoizes the cumulative table drawToken would walk,
+/// interned per (row, depth) at the current temperature, and its
+/// successor for the token of the table's widest slot; every other
+/// successor sits in a (node, character) map. Everything memoized is a
+/// pure function of (node, temperature) over the immutable model, so
+/// the sampler picks exactly the tokens the dense path picks.
+class NGramModel::AutomatonSampler final : public TokenSampler {
 public:
-  explicit MemoSampler(const NGramModel &M) : M(M) {}
+  explicit AutomatonSampler(const NGramModel &M) : M(M) { restart(0.0); }
 
   const Vocabulary &vocabulary() const override { return M.Vocab; }
-  void reset() override { Context.clear(); }
-  void observe(int TokenId) override { M.pushContext(Context, TokenId); }
+  void reset() override { Cur = Start; }
+
+  void observe(int TokenId) override {
+    Node &N = Memo.Nodes[Cur];
+    if (TokenId != N.WidestToken) {
+      Cur = edge(Cur, M.Vocab.charOf(TokenId));
+      return;
+    }
+    if (N.WidestNext == None) {
+      uint32_t Next = step(Cur, M.Vocab.charOf(TokenId));
+      Memo.Nodes[Cur].WidestNext = Next;
+    }
+    Cur = Memo.Nodes[Cur].WidestNext;
+  }
 
   int draw(double Temperature, Rng &R) override {
-    if (!(Temperature == MemoTemperature)) {
-      Memo = MemoTables();
-      MemoTemperature = Temperature;
-    }
-    auto [Row, Skip] = M.match(Context, Hashes);
-    uint64_t Key = static_cast<uint64_t>(Row) << 32 | Skip;
-    uint64_t Hash = Key * HashMul;
-    uint32_t T =
-        Memo.Index.find(Hash, [&](uint32_t E) { return Memo.Keys[E] == Key; });
-    if (T == HashIndex::None) {
-      M.fillDistribution(Row, Skip, Dist);
-      T = static_cast<uint32_t>(Memo.Tables.size());
-      Memo.Tables.push_back(
-          appendCumulativeTable(Dist, Temperature, Memo.Sums, Memo.Ids));
-      Memo.Keys.push_back(Key);
-      Memo.Index.insert(Hash, T);
-    }
+    if (!(Temperature == MemoTemperature))
+      restart(Temperature);
+    uint32_t T = Memo.Nodes[Cur].Table;
+    if (T == None)
+      T = table(Cur);
     return drawFromTable(Memo.Tables[T], Memo.Sums.data(), Memo.Ids.data(),
                          R);
   }
 
 private:
-  struct MemoTables {
+  static constexpr uint32_t None = HashIndex::None;
+
+  /// Numbers distinct 64-bit keys 0, 1, 2, ... in insertion order.
+  class KeyIndex {
+  public:
+    uint32_t find(uint64_t Key) const {
+      return Index.find(Key * HashMul,
+                        [&](uint32_t E) { return Keys[E] == Key; });
+    }
+    /// Numbers \p Key, which the caller checked is absent.
+    uint32_t add(uint64_t Key) {
+      uint32_t E = static_cast<uint32_t>(Keys.size());
+      Keys.push_back(Key);
+      Index.insert(Key * HashMul, E);
+      return E;
+    }
+
+  private:
     HashIndex Index;
-    PageVector<uint64_t> Keys; // Row << 32 | depth, per table.
+    PageVector<uint64_t> Keys;
+  };
+
+  struct Node {
+    uint32_t Context; // Longest window suffix with a row, or NoContext.
+    uint32_t Length;  // Window length.
+    uint32_t Table = None;
+    int WidestToken = -1; // Token of Table's widest slot, once drawn.
+    uint32_t WidestNext = None;
+  };
+
+  struct MemoState {
+    KeyIndex NodeKeys; // Context << 32 | window length, per node.
+    PageVector<Node> Nodes;
+    KeyIndex EdgeKeys; // Node << 8 | character, per edge.
+    PageVector<uint32_t> EdgeTargets;
+    KeyIndex TableKeys; // Row << 32 | depth, per table.
     PageVector<CumulativeTable> Tables;
     PageVector<double> Sums;
     PageVector<uint8_t> Ids;
   };
 
   const NGramModel &M;
-  std::string Context;
+  double MemoTemperature = 0.0;
+  MemoState Memo;
+  uint32_t Start = None;
+  uint32_t Cur = None;
+  std::string Window;
   std::vector<uint64_t> Hashes;
   std::vector<double> Dist;
-  double MemoTemperature = 0.0;
-  MemoTables Memo;
+
+  /// Starts a fresh memo for \p Temperature, keeping the current state.
+  void restart(double Temperature) {
+    uint32_t Context = CountTable::NoContext;
+    size_t Length = 0;
+    if (Cur != None) {
+      Context = Memo.Nodes[Cur].Context;
+      Length = Memo.Nodes[Cur].Length;
+    }
+    Memo = MemoState();
+    MemoTemperature = Temperature;
+    Start = node(M.match(std::string_view(), Hashes).first, 0);
+    Cur = Cur == None ? Start : node(Context, Length);
+  }
+
+  uint32_t node(uint32_t Context, size_t Length) {
+    uint64_t Key = static_cast<uint64_t>(Context) << 32 | Length;
+    uint32_t N = Memo.NodeKeys.find(Key);
+    if (N == None) {
+      N = Memo.NodeKeys.add(Key);
+      Memo.Nodes.push_back({Context, static_cast<uint32_t>(Length)});
+    }
+    return N;
+  }
+
+  /// The successor of \p From on \p Ch: its match is found among the
+  /// suffixes of (matched context + Ch) only.
+  uint32_t step(uint32_t From, char Ch) {
+    const Node &N = Memo.Nodes[From];
+    size_t Length = std::min<size_t>(N.Length + 1, M.windowLength());
+    Window.clear();
+    if (N.Context != CountTable::NoContext)
+      Window = M.Counts->context(N.Context);
+    Window.push_back(Ch);
+    std::string_view Tail(Window);
+    Tail.remove_prefix(Tail.size() - std::min(Tail.size(), Length));
+    return node(M.match(Tail, Hashes).first, Length);
+  }
+
+  uint32_t edge(uint32_t From, char Ch) {
+    uint64_t Key = static_cast<uint64_t>(From) << 8 |
+                   static_cast<unsigned char>(Ch);
+    uint32_t E = Memo.EdgeKeys.find(Key);
+    if (E != None)
+      return Memo.EdgeTargets[E];
+    uint32_t Next = step(From, Ch);
+    Memo.EdgeKeys.add(Key);
+    Memo.EdgeTargets.push_back(Next);
+    return Next;
+  }
+
+  /// Memoizes node \p N's table, building it on first use.
+  uint32_t table(uint32_t N) {
+    uint32_t Context = Memo.Nodes[N].Context;
+    uint32_t Row = M.rowOf(Context);
+    size_t Skip = Row == CountTable::NoRow
+                      ? 0
+                      : Memo.Nodes[N].Length -
+                            M.Counts->context(Context).size();
+    uint64_t Key = static_cast<uint64_t>(Row) << 32 | Skip;
+    uint32_t T = Memo.TableKeys.find(Key);
+    if (T == None) {
+      M.fillDistribution(Row, Skip, Dist);
+      T = Memo.TableKeys.add(Key);
+      Memo.Tables.push_back(
+          appendCumulativeTable(Dist, MemoTemperature, Memo.Sums, Memo.Ids));
+    }
+    const CumulativeTable &Table = Memo.Tables[T];
+    Node &Nd = Memo.Nodes[N];
+    Nd.Table = T;
+    if (Table.Size != 0)
+      Nd.WidestToken = Memo.Ids[Table.Offset + Table.Widest];
+    return T;
+  }
 };
 
 std::unique_ptr<TokenSampler> NGramModel::sampler() const {
-  return std::make_unique<MemoSampler>(*this);
+  return std::make_unique<AutomatonSampler>(*this);
 }
 
 //===----------------------------------------------------------------------===//
@@ -475,10 +622,7 @@ NGramModel NGramModel::deserialize(store::ArchiveReader &R) {
   for (uint64_t I = 0; I < ContextCount && R.ok(); ++I) {
     std::string Ctx = R.readString();
     uint32_t EntryCount = R.readU32();
-    uint64_t Hash = HashSeed;
-    for (size_t L = Ctx.size(); L > 0; --L)
-      Hash = extendLeft(Hash, Ctx[L - 1]);
-    uint32_t C = Builder.context(Ctx, Hash);
+    uint32_t C = Builder.context(Ctx, hashContext(Ctx));
     for (uint32_t J = 0; J < EntryCount && R.ok(); ++J) {
       int Id = R.readI32();
       uint32_t Count = R.readU32();
@@ -493,6 +637,13 @@ NGramModel NGramModel::deserialize(store::ArchiveReader &R) {
   if (!R.ok())
     return NGramModel();
   M.Counts = Builder.finish();
+  // train() yields prefix-closed tables by construction; a hand-made
+  // archive that is not would make the sampler's automaton diverge
+  // from the dense path.
+  if (!M.Counts->prefixClosed()) {
+    R.fail("n-gram contexts are not prefix-closed");
+    return NGramModel();
+  }
   M.reset();
   return M;
 }

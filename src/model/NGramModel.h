@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,10 +58,14 @@ public:
   std::vector<double> nextDistribution() override;
   void nextDistributionInto(std::vector<double> &Dist) override;
   std::unique_ptr<LanguageModel> clone() const override;
-  /// A memoizing sampler: each draw is one context lookup, one
-  /// R.uniform() and a binary search over a memoized cumulative table,
-  /// and picks the same token as the dense nextDistributionInto +
-  /// drawToken path from the same state.
+  /// A sampler that walks a memoized automaton over (matched context,
+  /// window length) nodes: a cached step is one comparison, and a
+  /// cached draw is one R.uniform() and, almost always, one interval
+  /// test against the node's memoized cumulative table. It picks the
+  /// same token as the dense nextDistributionInto + drawToken path from
+  /// the same state. A new node's match tests only the suffixes of
+  /// (matched context + token), which is sound because trained count
+  /// tables are prefix-closed (deserialize() rejects any that is not).
   std::unique_ptr<TokenSampler> sampler() const override;
   const char *backendName() const override { return "ngram"; }
 
@@ -73,15 +78,17 @@ public:
   /// archives (content-addressing relies on this).
   void serialize(store::ArchiveWriter &W) const;
 
-  /// Rebuilds a trained model from an archive. On schema violations the
-  /// reader's error state is tripped; callers must check it before
-  /// using the returned model.
+  /// Rebuilds a trained model from an archive. On schema violations,
+  /// including contexts that are not prefix-closed (a context with
+  /// counts whose one-shorter prefix has none), the reader's error
+  /// state is tripped; callers must check it before using the returned
+  /// model.
   static NGramModel deserialize(store::ArchiveReader &R);
 
 private:
   class CountTable;
   class CountBuilder;
-  class MemoSampler;
+  class AutomatonSampler;
 
   NGramOptions Opts;
   Vocabulary Vocab;
@@ -89,16 +96,19 @@ private:
   /// shared between clones and samplers, so a model copy costs O(1) and
   /// sampling never writes it.
   std::shared_ptr<const CountTable> Counts;
-  /// Rolling context of the last Order-1 token ids (as chars).
+  /// Rolling context of the last windowLength() token ids (as chars).
   std::string Context;
   /// Suffix-hash scratch for context lookups.
   std::vector<uint64_t> Hashes;
 
-  void pushContext(std::string &Ctx, int TokenId) const;
-  /// The backoff match for context \p Ctx: (row, levels skipped), or
-  /// (no row, 0) when no suffix has counts.
-  std::pair<uint32_t, size_t> match(const std::string &Ctx,
+  /// Order - 1: the longest context the model conditions on.
+  size_t windowLength() const;
+  /// The backoff match for \p Window: (context, levels skipped), or
+  /// (no context, 0) when no suffix has counts.
+  std::pair<uint32_t, size_t> match(std::string_view Window,
                                     std::vector<uint64_t> &Scratch) const;
+  /// The row of a matched context, or no row.
+  uint32_t rowOf(uint32_t Context) const;
   /// The dense next distribution for a matched row after \p Skip
   /// backoff levels (or for no match at all).
   void fillDistribution(uint32_t Row, size_t Skip,

@@ -5,6 +5,7 @@
 #include "clgen/Sampler.h"
 #include "clgen/Synthesizer.h"
 #include "githubsim/GithubSim.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -265,6 +266,42 @@ TEST(SynthesizerTest, BitIdenticalAcrossWorkerCounts) {
               Serial.Stats.RejectedByFilter);
     EXPECT_EQ(Parallel.Stats.Duplicates, Serial.Stats.Duplicates);
   }
+}
+
+TEST(SynthesizerTest, RejectionsAreCountedByReasonInAcceptOrder) {
+  // Counted in the accept stage, so speculative wave surplus never
+  // reaches the counters: per-reason counts match across worker counts
+  // and sum to the stats' rejection total.
+  const char *const Names[] = {
+      "clgen.synthesis.rejected.preprocessor",
+      "clgen.synthesis.rejected.syntax",
+      "clgen.synthesis.rejected.semantic",
+      "clgen.synthesis.rejected.lowering",
+      "clgen.synthesis.rejected.no_kernel",
+      "clgen.synthesis.rejected.too_few_instructions"};
+  SynthesisOptions Opts;
+  Opts.TargetKernels = 6;
+  Opts.MaxAttempts = 3000;
+  Opts.Sampling.Temperature = 0.5;
+  Opts.Seed = 0xD17E;
+  Opts.WaveSize = 64;
+  std::vector<uint64_t> ByWorkers[2];
+  for (size_t Run = 0; Run < 2; ++Run) {
+    Opts.Workers = Run == 0 ? 1 : 3;
+    support::MetricsRegistry::reset();
+    SynthesisResult R = sharedPipeline().synthesize(Opts);
+    ASSERT_GT(R.Stats.RejectedByFilter, 0u);
+    uint64_t Sum = 0;
+    for (const char *Name : Names) {
+      const support::Counter *C = support::MetricsRegistry::findCounter(Name);
+      ByWorkers[Run].push_back(C ? C->value() : 0);
+      Sum += ByWorkers[Run].back();
+    }
+    if (support::telemetryCompiledIn()) {
+      EXPECT_EQ(Sum, R.Stats.RejectedByFilter) << "workers " << Opts.Workers;
+    }
+  }
+  EXPECT_EQ(ByWorkers[0], ByWorkers[1]);
 }
 
 TEST(SynthesizerTest, ZeroTargetSynthesizesNothing) {

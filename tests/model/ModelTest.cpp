@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 using namespace clgen;
@@ -216,12 +217,59 @@ void expectMemoMatchesDense(NGramModel &M, const std::string &Seed,
   }
 }
 
+/// Observes \p Tokens on the model itself and on one of its samplers,
+/// twice over (the second pass walks memoized nodes and edges), and
+/// compares the dense draw with the sampler's before every step.
+void expectStepwiseMatch(NGramModel &M, const std::vector<int> &Tokens,
+                         double Temperature) {
+  std::unique_ptr<TokenSampler> S = M.sampler();
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    M.reset();
+    S->reset();
+    for (size_t I = 0; I <= Tokens.size(); ++I) {
+      Rng Dense(I), Memoized(I);
+      ASSERT_EQ(drawToken(M.nextDistribution(), Temperature, Dense),
+                S->draw(Temperature, Memoized))
+          << "pass " << Pass << " after " << I << " tokens";
+      ASSERT_EQ(Dense.next(), Memoized.next());
+      if (I < Tokens.size()) {
+        M.observe(Tokens[I]);
+        S->observe(Tokens[I]);
+      }
+    }
+  }
+}
+
+/// A checksum-valid order-3 model archive over "ab" with the given
+/// (context, number of count entries) list.
+std::vector<uint8_t>
+handMadeModelArchive(const std::vector<std::pair<std::string, int>> &Rows) {
+  store::ArchiveWriter W(store::ArchiveKind::Model);
+  W.writeI32(3);
+  W.writeF64(0.4);
+  W.writeF64(0.1);
+  Vocabulary::fromText("ab").serialize(W);
+  W.writeU64(Rows.size());
+  for (const auto &[Ctx, Entries] : Rows) {
+    W.writeString(Ctx);
+    W.writeU32(static_cast<uint32_t>(Entries));
+    for (int Id = 1; Id <= Entries; ++Id) {
+      W.writeI32(Id);
+      W.writeU32(2);
+    }
+  }
+  return W.finalize();
+}
+
 } // namespace
 
 TEST(NGramSamplerTest, MemoizedDrawsMatchDenseReference) {
+  // The short seeds leave the window below Order - 1 characters, where
+  // the backoff depth depends on the window length.
   const std::string Seeds[] = {core::freeModeSeed(),
-                               core::ArgSpec::figure6().seedText()};
-  for (int Order : {3, 14, 16}) {
+                               core::ArgSpec::figure6().seedText(), "_",
+                               ""};
+  for (int Order : {1, 2, 3, 14, 16}) {
     for (double Smoothing : {0.1, 0.0}) {
       NGramOptions Opts;
       Opts.Order = Order;
@@ -238,6 +286,55 @@ TEST(NGramSamplerTest, MemoizedDrawsMatchDenseReference) {
                          << " T " << T << " seed \"" << Seed << "\"");
             expectMemoMatchesDense(*M, Seed, T, 12);
           }
+    }
+  }
+}
+
+TEST(NGramSamplerTest, EndOfTextMidStreamMatchesDense) {
+  // After the sentinel no trained context matches the window's tail,
+  // so the match drops to the empty context at full backoff depth.
+  for (int Order : {1, 3, 14}) {
+    NGramOptions Opts;
+    Opts.Order = Order;
+    NGramModel M(Opts);
+    M.train(kernelCorpus());
+    const Vocabulary &V = M.vocabulary();
+    std::vector<int> Tokens = {Vocabulary::EndOfText};
+    for (const char *Part : {"__kernel void A(__global float* a) {", "a[0]",
+                             "", "} "}) {
+      for (int Id : V.encode(Part))
+        Tokens.push_back(Id);
+      Tokens.push_back(Vocabulary::EndOfText);
+    }
+    for (double T : {0.5, 2.0}) {
+      SCOPED_TRACE(testing::Message() << "order " << Order << " T " << T);
+      expectStepwiseMatch(M, Tokens, T);
+    }
+  }
+}
+
+TEST(NGramSamplerTest, ArchiveContextsMustBePrefixClosed) {
+  struct Case {
+    std::vector<std::pair<std::string, int>> Rows;
+    bool Valid;
+  };
+  const Case Cases[] = {
+      {{{"", 2}, {"a", 1}, {"ab", 2}}, true},
+      {{{"", 2}, {"b", 1}, {"ab", 2}}, false}, // "a" is missing.
+      {{{"", 2}, {"a", 0}, {"ab", 2}}, false}, // "a" has no counts.
+      {{{"a", 1}}, false},                     // "" is missing.
+      {{{"", 1}, {"a", 0}, {"ba", 0}}, true},  // Empty rows need none.
+  };
+  for (size_t I = 0; I < std::size(Cases); ++I) {
+    auto R = store::ArchiveReader::fromBytes(
+        handMadeModelArchive(Cases[I].Rows), store::ArchiveKind::Model);
+    ASSERT_TRUE(R.ok()) << R.errorMessage();
+    NGramModel M = NGramModel::deserialize(R.get());
+    EXPECT_EQ(R.get().ok(), Cases[I].Valid) << "case " << I;
+    if (!Cases[I].Valid) {
+      EXPECT_NE(R.get().errorMessage().find("prefix-closed"),
+                std::string::npos)
+          << R.get().errorMessage();
     }
   }
 }
@@ -320,6 +417,58 @@ TEST(CumulativeTableTest, TargetEqualToARunningSumIsNotACrossing) {
   const std::vector<uint8_t> Ids = {4, 5, 6};
   Rng R(3);
   EXPECT_EQ(drawFromTable(Table, Sums.data(), Ids.data(), R), 6);
+}
+
+TEST(CumulativeTableTest, RecordsTheWidestSlot) {
+  struct Case {
+    std::vector<double> Dist;
+    int WidestId;
+  };
+  const Case Cases[] = {
+      {{0.1, 0.6, 0.3}, 1},
+      {{0.5, 0.5}, 0},           // The first of equals.
+      {{0.0, 0.2, 0.0, 0.7}, 3}, // Zeros own no slot.
+      {{0.9}, 0},
+  };
+  for (const Case &C : Cases) {
+    PageVector<double> Sums(1, 42.0);
+    PageVector<uint8_t> Ids(1, 7);
+    CumulativeTable T = appendCumulativeTable(C.Dist, 0.5, Sums, Ids);
+    ASSERT_LT(T.Widest, T.Size);
+    EXPECT_EQ(Ids[T.Offset + T.Widest], C.WidestId);
+  }
+}
+
+TEST(CumulativeTableTest, TargetOnTheWidestSlotsBoundsIsUpperBound) {
+  // Target = U exactly (Sum 1). A target equal to the widest slot's
+  // upper running sum is not in that slot; one equal to its lower sum
+  // is; one below it is in an earlier slot.
+  Rng Peek(3);
+  const double U = Peek.uniform();
+  struct Case {
+    std::vector<double> Sums;
+    uint32_t Widest;
+    int Expected;
+  };
+  const Case Cases[] = {
+      {{U}, 0, 9},                       // Single entry, upper: the tail.
+      {{U, 1.5 * U}, 0, 5},              // Widest first, upper: the next.
+      {{U / 2, U, U + 1.0}, 2, 6},       // Lower bound: the widest itself.
+      {{2 * U, 2 * U + 5.0}, 1, 4},      // Below the widest: an earlier one.
+      {{U / 4, U, U + 1.0, U + 1.5}, 2, 6}, // Lower bound, not the last.
+  };
+  const std::vector<uint8_t> Ids = {4, 5, 6, 7};
+  for (size_t I = 0; I < std::size(Cases); ++I) {
+    CumulativeTable Table;
+    Table.Sum = 1.0;
+    Table.Last = 9;
+    Table.Size = static_cast<uint32_t>(Cases[I].Sums.size());
+    Table.Widest = Cases[I].Widest;
+    Rng R(3);
+    EXPECT_EQ(drawFromTable(Table, Cases[I].Sums.data(), Ids.data(), R),
+              Cases[I].Expected)
+        << "case " << I;
+  }
 }
 
 TEST(LanguageModelTest, DefaultSamplerDrawsOnAPrivateClone) {
